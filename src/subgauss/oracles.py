@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -50,6 +50,12 @@ WILSON_Z_99 = 2.5758293035489004
 # derived per block, so estimates depend only on (seed, n_samples) and never
 # on how the blocks are batched or scheduled.
 MC_BLOCK_SIZE = 65536
+
+# Bytes of uniforms a worker holds at once, sized to stay in cache.  Chunk
+# rows are a multiple of _MC_CHUNK_ROW_STEP so BLAS groups rows as for the
+# whole block: unaligned tail rows take another kernel and round differently.
+_MC_CHUNK_BYTES = 1 << 20
+_MC_CHUNK_ROW_STEP = 64
 
 _EXHAUSTIVE_CAP = 20
 _DP_CAP = 100_000
@@ -133,13 +139,18 @@ def poisson_binomial_table(
     if n > cap:
         raise CapExceededError(f"n = {n} exceeds the DP cap {cap}")
 
+    # one buffer updated in place: per-step temporaries get page-faulted anew
     mass = np.zeros(n + 1, dtype=float)
     mass[0] = 1.0
+    buf = np.empty(n, dtype=float)
     for k, p in enumerate(ps):
         q = 1.0 - p
         mass[k + 1] = mass[k] * p
-        if k > 0:
-            mass[1:k + 1] = mass[1:k + 1] * q + mass[:k] * p
+        head = mass[1:k + 1]
+        # mass[:k] overlaps head, so take its product before scaling head
+        np.multiply(mass[:k], p, out=buf[:k])
+        head *= q
+        head += buf[:k]
         mass[0] *= q
 
     shift = math.fsum(ps)
@@ -287,19 +298,26 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z_99) -> tuple[flo
 
 def monte_carlo_tail(
     s: WeightedIndicatorSum,
-    x: float,
+    x: float | Sequence[float],
     n_samples: int,
     seed: int,
     side: Side = "max_both",
-) -> McEstimate:
-    """Seeded Monte Carlo tail estimate with a Wilson-score 99% interval.
+) -> McEstimate | tuple[McEstimate, ...]:
+    """Seeded Monte Carlo tail estimates with Wilson-score 99% intervals.
+
+    x is one threshold or a 1-d sequence of them; a float returns one
+    McEstimate, a sequence a tuple of them in the same order.  One draw
+    scores every threshold: each block is drawn once, sorted, and every
+    threshold counted by binary search, so each estimate equals that of a
+    separate call at its threshold.
 
     Sampling runs in fixed blocks of MC_BLOCK_SIZE, each drawn from its own
     Philox substream keyed by (seed, block index).  Philox is a counter
     based generator whose bitstream numpy keeps stable across releases, so
     the estimate is a pure function of (seed, n_samples) regardless of how
     blocks are batched across workers; the same call is bit-identical every
-    time.
+    time.  A worker draws its block in row chunks of at most about
+    _MC_CHUNK_BYTES, so its memory does not grow with the number of terms.
 
     For max_both the point estimate is the larger one-sided proportion and
     the interval is the Wilson interval of that side's count; the one-sided
@@ -307,41 +325,52 @@ def monte_carlo_tail(
     """
     if not s.independent:
         raise DependenceError("Monte Carlo sampling requires independent terms")
-    if math.isnan(x):
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise DomainError("thresholds must be a float or a 1-d sequence")
+    if np.any(np.isnan(xs)):
         raise DomainError("threshold must not be NaN")
     if n_samples < 100:
         raise DomainError(f"need n_samples >= 100, got {n_samples}")
     if int(seed) != seed or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    if side not in ("upper", "lower", "max_both"):
+        raise DomainError(f"unknown side {side!r}")
     seed = int(seed)
+    curve = np.atleast_1d(xs)
+    if curve.size == 0:
+        return ()
 
     coeffs = np.asarray(s.coeffs, dtype=float)
     ps = np.asarray(s.p_values, dtype=float)
     shift = math.fsum(c * p for c, p in zip(s.coeffs, s.p_values))
     n_blocks = (n_samples + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
+    chunk = _MC_CHUNK_BYTES // (8 * coeffs.size)
+    chunk = max(chunk - chunk % _MC_CHUNK_ROW_STEP, _MC_CHUNK_ROW_STEP)
 
-    def run_block(block: int) -> tuple[int, int]:
+    def run_block(block: int) -> tuple[np.ndarray, np.ndarray]:
         rows = min(MC_BLOCK_SIZE, n_samples - block * MC_BLOCK_SIZE)
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((seed, block)))
         )
-        u = rng.random((rows, coeffs.size))
-        vals = (u < ps) @ coeffs - shift
-        return int(np.count_nonzero(vals > x)), int(np.count_nonzero(vals < -x))
+        vals = np.empty(rows, dtype=float)
+        for start in range(0, rows, chunk):
+            u = rng.random((min(chunk, rows - start), coeffs.size))
+            np.less(u, ps, out=u)
+            vals[start:start + len(u)] = u @ coeffs - shift
+        vals.sort()
+        up = rows - np.searchsorted(vals, curve, side="right")
+        return up, np.searchsorted(vals, -curve, side="left")
 
     counts = ordered_map(run_block, range(n_blocks))
     up = sum(c[0] for c in counts)
     lo = sum(c[1] for c in counts)
-    if side == "upper":
-        k = up
-    elif side == "lower":
-        k = lo
-    elif side == "max_both":
-        k = max(up, lo)
-    else:
-        raise DomainError(f"unknown side {side!r}")
-    ci_low, ci_high = wilson_interval(k, n_samples)
-    return McEstimate(k / n_samples, ci_low, ci_high, n_samples, seed)
+    ks = {"upper": up, "lower": lo, "max_both": np.maximum(up, lo)}[side]
+    estimates = tuple(
+        McEstimate(k / n_samples, *wilson_interval(k, n_samples), n_samples, seed)
+        for k in ks.tolist()
+    )
+    return estimates if xs.ndim else estimates[0]
 
 
 def exact_sum_log_mgf(s: WeightedIndicatorSum, lam) -> np.ndarray:

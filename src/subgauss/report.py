@@ -100,6 +100,9 @@ def build_bound_report(
     Dependent sums get neither (their joint law is not determined by the
     marginals), only the triangle-bound column.  With exact_required, an
     infeasible exact request raises CapExceededError instead of degrading.
+
+    All thresholds are validated before any sampling; the Monte Carlo
+    path makes one draw for all of them (see monte_carlo_tail).
     """
     bound = best_norm_bound(s)
     table = None
@@ -129,15 +132,17 @@ def build_bound_report(
     )
     n = s.n_terms
 
-    rows = []
+    xs = [float(x) for x in xs]
     for x in xs:
-        x = float(x)
         if not (math.isfinite(x) and x >= 0.0):
             raise DomainError(f"thresholds must be finite and >= 0, got {x!r}")
+    mcs = [None] * len(xs)
+    if exact_method == "mc":
+        mcs = monte_carlo_tail(s, xs, mc_samples, seed)
+
+    rows = []
+    for x, mc in zip(xs, mcs):
         exact = exact_tail(table, x) if table is not None else None
-        mc = None
-        if table is None and s.independent:
-            mc = monte_carlo_tail(s, x, mc_samples, seed)
         hoeff = None
         if is_fair_coins:
             hoeff = hoeffding_reference_tail(n, 2.0 * x / math.sqrt(n))

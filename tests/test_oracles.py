@@ -6,15 +6,21 @@ each other and against hand arithmetic.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subgauss
 from subgauss import (
     CapExceededError,
     DependenceError,
     DistributionTable,
     DomainError,
+    McEstimate,
     WeightedIndicatorSum,
     exact_sum_log_mgf,
     exact_tail,
@@ -27,8 +33,69 @@ from subgauss import (
     tail_curve,
     wilson_interval,
 )
+from subgauss.oracles import MC_BLOCK_SIZE
 
 WILSON_UPPER_0_100 = 0.062220687715822974  # z = 2.5758293035489004
+
+# The single-shot sampler's value (each block drawn whole): 37 901 lower-tail hits.
+FROZEN_MC_SUM = WeightedIndicatorSum(
+    [1.0, -2.0, 0.5, 1.25, 0.75, -0.3, 1.7],
+    [0.2, 0.4, 0.6, 0.8, 0.1, 0.55, 0.35],
+)
+FROZEN_MC = McEstimate(
+    point=0.25267333333333336,
+    ci_low=0.24979425906437866,
+    ci_high=0.2555742864593284,
+    n_samples=150_000,
+    seed=2024,
+)
+
+
+def out_of_place_dp(ps):
+    """The DP step written with fresh temporaries: the bitwise reference."""
+    mass = np.zeros(len(ps) + 1)
+    mass[0] = 1.0
+    for k, p in enumerate(ps):
+        q = 1.0 - p
+        mass[k + 1] = mass[k] * p
+        if k > 0:
+            mass[1:k + 1] = mass[1:k + 1] * q + mass[:k] * p
+        mass[0] *= q
+    return mass
+
+
+def single_shot_estimates(s, xs, n_samples, seed, side):
+    """Each block drawn whole and counted by comparison: the reference
+    that the chunked, sorted sampler must match."""
+    coeffs = np.asarray(s.coeffs)
+    ps = np.asarray(s.p_values)
+    shift = math.fsum(c * p for c, p in zip(s.coeffs, s.p_values))
+    up, lo = np.zeros(len(xs), dtype=int), np.zeros(len(xs), dtype=int)
+    for block in range(-(-n_samples // MC_BLOCK_SIZE)):
+        rows = min(MC_BLOCK_SIZE, n_samples - block * MC_BLOCK_SIZE)
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence((seed, block)))
+        )
+        vals = (rng.random((rows, coeffs.size)) < ps) @ coeffs - shift
+        up += [np.count_nonzero(vals > x) for x in xs]
+        lo += [np.count_nonzero(vals < -x) for x in xs]
+    ks = {"upper": up, "lower": lo, "max_both": np.maximum(up, lo)}[side]
+    return tuple(
+        McEstimate(k / n_samples, *wilson_interval(k, n_samples), n_samples, seed)
+        for k in ks.tolist()
+    )
+
+
+def random_sum(rng, dyadic):
+    """An independent sum; dyadic weights and probs put atoms on thresholds."""
+    m = int(rng.integers(1, 13))
+    if dyadic:
+        coeffs = rng.choice([0.5, 1.0, 1.5, -2.0, 3.0], size=m)
+        probs = rng.choice([0.25, 0.5, 0.75], size=m)
+    else:
+        coeffs = rng.normal(size=m)
+        probs = rng.uniform(0.02, 0.98, size=m)
+    return WeightedIndicatorSum(coeffs.tolist(), probs.tolist())
 
 
 class TestDistributionTable:
@@ -77,6 +144,12 @@ class TestPoissonBinomialDp:
         t = poisson_binomial_table(np.linspace(0.01, 0.99, 2000))
         assert abs(t.total_mass() - 1.0) < 1e-12
         assert abs(t.mean()) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 400, 3000])
+    def test_in_place_update_is_bitwise_out_of_place(self, n):
+        ps = np.random.default_rng(n).uniform(0.0, 1.0, size=n)
+        t = poisson_binomial_table(ps)
+        assert np.array_equal(t.masses, out_of_place_dp(ps.tolist()))
 
 
 class TestExactTail:
@@ -221,6 +294,62 @@ class TestMonteCarlo:
             monte_carlo_tail(s, 0.5, 99, seed=0)
         with pytest.raises(DomainError):
             monte_carlo_tail(s, 0.5, 1000, seed=-1)
+
+    def test_frozen_estimate(self):
+        # pins which uniforms each block draws, however it is chunked
+        assert monte_carlo_tail(FROZEN_MC_SUM, 1.1, 150_000, seed=2024) == FROZEN_MC
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("n_samples", [100, 65_536, 70_001, 150_000])
+    def test_curve_equals_pointwise(self, monkeypatch, n_samples, threads):
+        monkeypatch.setenv("SUBGAUSS_THREADS", threads)
+        rng = np.random.default_rng(n_samples)
+        for dyadic in (True, False):
+            s = random_sum(rng, dyadic)
+            # |outcome| of random subsets: for dyadic sums these are atoms
+            shift = math.fsum(c * p for c, p in zip(s.coeffs, s.p_values))
+            atoms = [
+                abs(math.fsum(np.compress(rng.random(s.n_terms) < 0.5, s.coeffs)) - shift)
+                for _ in range(3)
+            ]
+            xs = [0.0, 1.0, *atoms, *rng.uniform(0.0, 3.0, size=2).tolist()]
+            seed = int(rng.integers(0, 1000))
+            for side in ("upper", "lower", "max_both"):
+                curve = monte_carlo_tail(s, xs, n_samples, seed, side)
+                assert curve == tuple(
+                    monte_carlo_tail(s, x, n_samples, seed, side) for x in xs
+                )
+                assert curve == single_shot_estimates(s, xs, n_samples, seed, side)
+
+    def test_nan_anywhere_in_curve_raises(self):
+        s = WeightedIndicatorSum.iid(3, 0.4)
+        for xs in ([math.nan], [0.5, math.nan], [math.nan, 1.0, 2.0]):
+            with pytest.raises(DomainError):
+                monte_carlo_tail(s, xs, 1000, seed=0)
+
+    def test_empty_curve(self):
+        s = WeightedIndicatorSum.iid(3, 0.4)
+        assert monte_carlo_tail(s, [], 1000, seed=0) == ()
+
+    def test_memory_bounded_per_worker(self):
+        # one 65 536-sample block of 2000 terms: a single-shot draw holds
+        # about 2 GiB of uniforms, mask and cast mask
+        code = (
+            "import resource\n"
+            "from subgauss import WeightedIndicatorSum, monte_carlo_tail\n"
+            "s = WeightedIndicatorSum.iid(2000, 0.3, 1.5)\n"
+            "monte_carlo_tail(s, 10.0, 65_536, seed=0)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(subgauss.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, SUBGAUSS_THREADS="2", PYTHONPATH=pythonpath)
+        r = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert r.returncode == 0, r.stderr
+        assert int(r.stdout) < 300 * 1024  # ru_maxrss is in KiB on Linux
 
 
 class TestSumLogMgf:

@@ -15,12 +15,14 @@ from pathlib import Path
 
 import pytest
 
+import subgauss.report as report_module
 from subgauss import (
     BoundRow,
     CapExceededError,
     DomainError,
     WeightedIndicatorSum,
     build_bound_report,
+    monte_carlo_tail,
     report_from_json,
     report_to_csv,
     report_to_json,
@@ -58,6 +60,25 @@ class TestReportBuild:
         assert row.exact_tail is None
         assert row.mc is not None
         assert row.mc.n_samples == 10_000
+
+    def test_mc_rows_equal_pointwise_estimates(self):
+        coeffs = [1.0 + 0.01 * k for k in range(25)]
+        s = WeightedIndicatorSum(coeffs, [0.3] * 25)
+        xs = [0.0, 1.0, 2.0, 4.5]
+        rep = build_bound_report(s, xs, seed=5, mc_samples=70_001)
+        assert [r.mc for r in rep.rows] == [
+            monte_carlo_tail(s, x, 70_001, 5) for x in xs
+        ]
+
+    @pytest.mark.parametrize("bad", [-0.5, math.inf, math.nan])
+    def test_bad_threshold_raises_before_sampling(self, monkeypatch, bad):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before validating thresholds")
+
+        monkeypatch.setattr(report_module, "monte_carlo_tail", no_sampling)
+        s = WeightedIndicatorSum([1.0 + 0.01 * k for k in range(25)], [0.3] * 25)
+        with pytest.raises(DomainError, match="thresholds must be finite"):
+            build_bound_report(s, [1.0, bad, 2.0], mc_samples=1_000)
 
     def test_dependent_sum_has_no_oracle(self):
         s = WeightedIndicatorSum([1.0, 1.0], [0.5, 0.5], independent=False)
