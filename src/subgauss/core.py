@@ -126,6 +126,21 @@ def as_probability(p: ProbabilityLike) -> Probability:
     return Probability(float(p))
 
 
+def _probability_array(probs) -> np.ndarray:
+    """Read-only float64 copy of 1-d probabilities; names the first bad one."""
+    if not isinstance(probs, np.ndarray):
+        probs = [p.p if isinstance(p, Probability) else p for p in probs]
+    ps = np.array(probs, dtype=float)
+    if ps.ndim != 1:
+        raise DomainError(f"probabilities must form a 1-d sequence, got shape {ps.shape}")
+    bad = ~((ps >= 0.0) & (ps <= 1.0))
+    if bad.any():
+        first = float(ps[np.argmax(bad)])
+        raise DomainError(f"probability must lie in [0, 1], got {first!r}")
+    ps.setflags(write=False)
+    return ps
+
+
 class NormMethod(enum.Enum):
     """How a subgaussian norm value was obtained."""
 
@@ -224,9 +239,8 @@ class LogMgfCurve(object):
         return float(self(lam))
 
 
-def _q_squared(prob: Probability) -> float:
-    """Q(p)^2 with the series switchover around p = 1/2."""
-    p = prob.p
+def _q_squared(p: float) -> float:
+    """Q(p)^2 on scalar libm: numpy's log/log1p round some p differently."""
     if p == 0.0 or p == 1.0:
         return 0.0
     eps = p - 0.5
@@ -235,7 +249,7 @@ def _q_squared(prob: Probability) -> float:
         # 1/(1 + (4/3) e^2 + (16/5) e^4 + ...) expanded to two corrections;
         # truncation is below 1e-30 inside the window.
         return 0.125 * (1.0 - e2 * (4.0 / 3.0 + e2 * (64.0 / 45.0)))
-    return (1.0 - 2.0 * p) / (4.0 * prob.log_odds)
+    return (1.0 - 2.0 * p) / (4.0 * _stable_log_odds(p))
 
 
 def q_norm(p: ProbabilityLike) -> SubgaussianNorm:
@@ -245,8 +259,8 @@ def q_norm(p: ProbabilityLike) -> SubgaussianNorm:
     Q(1/2) = sqrt(1/8) and Q(0) = Q(1) = 0.  Symmetric about p = 1/2,
     increasing on [0, 1/2], and bounded by the Hoeffding constant sqrt(1/8).
     """
-    prob = as_probability(p)
-    return SubgaussianNorm(math.sqrt(_q_squared(prob)), NormMethod.CLOSED_FORM)
+    p = as_probability(p).p
+    return SubgaussianNorm(math.sqrt(_q_squared(p)), NormMethod.CLOSED_FORM)
 
 
 def q_asymptotic(p: ProbabilityLike) -> float:
@@ -314,10 +328,7 @@ def g_values(p: ProbabilityLike, lam) -> np.ndarray:
         return np.zeros_like(lam)
     small = np.abs(lam) <= _SERIES_CUTOFF
     with np.errstate(invalid="ignore", divide="ignore"):
-        direct = np.logaddexp(
-            math.log(pv) + lam * prob.complement,
-            math.log1p(-pv) - lam * pv,
-        ) / (lam * lam)
+        direct = log_mgf_values(prob, lam) / (lam * lam)
     return np.where(small, _g_series(pv, lam), direct)
 
 
@@ -355,7 +366,7 @@ def kearns_saul_gap(p: ProbabilityLike, lam: float) -> float:
     prob = as_probability(p)
     if not math.isfinite(lam):
         raise DomainError(f"t must be finite, got {lam!r}")
-    return _q_squared(prob) * lam * lam - float(log_mgf_values(prob, lam))
+    return _q_squared(prob.p) * lam * lam - float(log_mgf_values(prob, lam))
 
 
 def lambda_star(p: ProbabilityLike) -> float:

@@ -3,22 +3,21 @@
 Everything the bound side of the package claims is checkable against the
 routines here: exact Poisson-binomial laws by dynamic-programming
 convolution, brute-force enumeration of small weighted sums, seeded Monte
-Carlo tail estimates with Wilson confidence intervals, the golden-section
-argmax used to verify extremal points, and the exact log-MGF of an
-independent weighted sum.
+Carlo tail estimates with Wilson confidence intervals, and the exact log-MGF
+of an independent weighted sum.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .core import ProbabilityLike, as_probability, log_mgf_values
+from .core import LogMgfCurve, ProbabilityLike, _probability_array, log_mgf_values
 from .errors import CapExceededError, DependenceError, DomainError
-from .optimize import GoldenSectionResult, golden_section_argmax
 from .parallel import ordered_map
 from .sums import WeightedIndicatorSum
 
@@ -35,8 +34,6 @@ __all__ = [
     "exhaustive_weighted_tail",
     "monte_carlo_tail",
     "wilson_interval",
-    "golden_section_argmax",
-    "GoldenSectionResult",
     "exact_sum_log_mgf",
     "sum_log_mgf_curve",
 ]
@@ -132,7 +129,7 @@ def poisson_binomial_table(
     support is {k - sum p(i) : k = 0..n} with the shift accumulated by
     fsum, so atoms line up bitwise with the enumeration oracle.
     """
-    ps = [as_probability(p).p for p in probs]
+    ps = _probability_array(probs).tolist()
     n = len(ps)
     if n < 1:
         raise DomainError("need at least one probability")
@@ -158,16 +155,24 @@ def poisson_binomial_table(
     return DistributionTable(support, mass)
 
 
-def _side_masses(
-    support: np.ndarray, masses: np.ndarray, x: float, side: Side, strict: bool
-) -> np.ndarray:
+def _tail_mass(
+    values: np.ndarray, masses: np.ndarray, x: float, side: Side, strict: bool
+) -> float:
+    """Tail mass of atoms in any order, duplicates allowed; see exact_tail."""
+    if math.isnan(x):
+        raise DomainError("threshold must not be NaN")
+    if side == "max_both":
+        return max(
+            _tail_mass(values, masses, x, "upper", strict),
+            _tail_mass(values, masses, x, "lower", strict),
+        )
     if side == "upper":
-        sel = support > x if strict else support >= x
+        sel = values > x if strict else values >= x
     elif side == "lower":
-        sel = support < -x if strict else support <= -x
+        sel = values < -x if strict else values <= -x
     else:
         raise DomainError(f"unknown side {side!r}")
-    return masses[sel]
+    return math.fsum(np.sort(masses[sel]).tolist())
 
 
 def exact_tail(
@@ -181,17 +186,7 @@ def exact_tail(
     P(S >= x) and P(S <= -x).  Selected masses are accumulated
     smallest-first with compensated summation.
     """
-    if math.isnan(x):
-        raise DomainError("threshold must not be NaN")
-    if side == "max_both":
-        return max(
-            exact_tail(table, x, "upper", strict),
-            exact_tail(table, x, "lower", strict),
-        )
-    sel = _side_masses(table.support, table.masses, x, side, strict)
-    if sel.size == 0:
-        return 0.0
-    return math.fsum(np.sort(sel).tolist())
+    return _tail_mass(table.support, table.masses, x, side, strict)
 
 
 def tail_curve(
@@ -230,15 +225,14 @@ def _enumerate_outcomes(s: WeightedIndicatorSum, cap: int) -> tuple[np.ndarray, 
     m = s.n_terms
     if m > cap:
         raise CapExceededError(f"m = {m} exceeds the enumeration cap {cap}")
-    size = 1 << m
-    idx = np.arange(size, dtype=np.uint32)
-    raw = np.zeros(size, dtype=float)
-    prob = np.ones(size, dtype=float)
-    for j, (c, pr) in enumerate(zip(s.coeffs, s.probs)):
-        bit = ((idx >> np.uint32(j)) & np.uint32(1)).astype(bool)
-        raw += np.where(bit, c, 0.0)
-        prob *= np.where(bit, pr.p, 1.0 - pr.p)
-    shift = math.fsum(c * pr.p for c, pr in zip(s.coeffs, s.probs))
+    # doubling: outcome i includes term j iff bit j of i is set, and terms
+    # are added (probabilities multiplied) in index order j = 0, 1, ...
+    raw = np.zeros(1)
+    prob = np.ones(1)
+    for c, p in zip(s.coeffs.tolist(), s.p_values.tolist()):
+        raw = np.concatenate((raw, raw + c))
+        prob = np.concatenate((prob * (1.0 - p), prob * p))
+    shift = math.fsum((s.coeffs * s.p_values).tolist())
     return raw - shift, prob
 
 
@@ -265,19 +259,11 @@ def exhaustive_weighted_tail(
     """Exact tail of a small independent weighted sum (max of both sides).
 
     Enumerates all 2^m outcomes with exact product probabilities; m is
-    capped (default 20) because the enumeration is exponential.
+    capped (default 20) because the enumeration is exponential.  Unlike
+    exhaustive_outcome_table, no atoms are merged, so no mass is rounded.
     """
-    if math.isnan(x):
-        raise DomainError("threshold must not be NaN")
     values, probs = _enumerate_outcomes(s, cap)
-
-    def one_side(sd: Side) -> float:
-        sel = _side_masses(values, probs, x, sd, strict)
-        return math.fsum(np.sort(sel).tolist()) if sel.size else 0.0
-
-    if side == "max_both":
-        return max(one_side("upper"), one_side("lower"))
-    return one_side(side)
+    return _tail_mass(values, probs, x, side, strict)
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z_99) -> tuple[float, float]:
@@ -341,9 +327,8 @@ def monte_carlo_tail(
     if curve.size == 0:
         return ()
 
-    coeffs = np.asarray(s.coeffs, dtype=float)
-    ps = np.asarray(s.p_values, dtype=float)
-    shift = math.fsum(c * p for c, p in zip(s.coeffs, s.p_values))
+    coeffs, ps = s.coeffs, s.p_values
+    shift = math.fsum((coeffs * ps).tolist())
     n_blocks = (n_samples + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
     chunk = _MC_CHUNK_BYTES // (8 * coeffs.size)
     chunk = max(chunk - chunk % _MC_CHUNK_ROW_STEP, _MC_CHUNK_ROW_STEP)
@@ -383,10 +368,7 @@ def exact_sum_log_mgf(s: WeightedIndicatorSum, lam) -> np.ndarray:
     if not s.independent:
         raise DependenceError("the sum log-MGF factorizes only under independence")
     lam = np.asarray(lam, dtype=float)
-    groups: dict[tuple[float, float], int] = {}
-    for c, pr in zip(s.coeffs, s.probs):
-        key = (c, pr.p)
-        groups[key] = groups.get(key, 0) + 1
+    groups = Counter(zip(s.coeffs.tolist(), s.p_values.tolist()))
     total = np.zeros_like(lam)
     for (c, p), count in groups.items():
         total += count * log_mgf_values(p, c * lam)
@@ -395,12 +377,9 @@ def exact_sum_log_mgf(s: WeightedIndicatorSum, lam) -> np.ndarray:
 
 def sum_log_mgf_curve(s: WeightedIndicatorSum, scale: float = 1.0):
     """LogMgfCurve of scale * sum, with its exact variance attached."""
-    from .core import LogMgfCurve  # local import avoids a cycle at module load
-
     scaled = s.scaled(scale) if scale != 1.0 else s
-    variance = math.fsum(
-        (c * c) * pr.p * (1.0 - pr.p) for c, pr in zip(scaled.coeffs, scaled.probs)
-    )
+    c, p = scaled.coeffs, scaled.p_values
+    variance = math.fsum((c * c * p * (1.0 - p)).tolist())
     return LogMgfCurve(
         fn=lambda lam: exact_sum_log_mgf(scaled, lam),
         variance=variance,

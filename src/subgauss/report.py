@@ -72,10 +72,11 @@ class BoundReport(object):
 
 
 def _terms_digest(s: WeightedIndicatorSum) -> str:
+    # repr of Python floats: numpy 2 reprs np.float64 as 'np.float64(...)'
     canon = json.dumps(
         {
-            "coeffs": [repr(c) for c in s.coeffs],
-            "probs": [repr(p) for p in s.p_values],
+            "coeffs": [repr(c) for c in s.coeffs.tolist()],
+            "probs": [repr(p) for p in s.p_values.tolist()],
             "independent": s.independent,
         },
         sort_keys=True,
@@ -127,9 +128,7 @@ def build_bound_report(
             "do not determine the joint law"
         )
 
-    is_fair_coins = s.independent and s.unit_coeffs and all(
-        p == 0.5 for p in s.p_values
-    )
+    is_fair_coins = s.independent and s.unit_coeffs and (s.p_values == 0.5).all()
     n = s.n_terms
 
     xs = [float(x) for x in xs]

@@ -21,7 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Probability, ProbabilityLike, as_probability, q_norm, tail_bound_from_norm
+import numpy as np
+
+from .core import ProbabilityLike, _probability_array, _q_squared, tail_bound_from_norm
+from .core import q_norm  # noqa: F401 -- unused, but perfbench/trace_cli.py rebinds it
 from .errors import DependenceError, DomainError
 
 __all__ = [
@@ -62,18 +65,19 @@ class SumNormBound(object):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedIndicatorSum(object):
     """A finite weighted sum of centered indicators.
 
-    ``coeffs`` are finite reals, ``probs`` the per-term success
-    probabilities.  ``independent`` declares whether the indicators are
+    ``coeffs`` holds the finite real weights and ``p_values`` the per-term
+    success probabilities, both as read-only float64 arrays validated once
+    at construction.  ``independent`` declares whether the indicators are
     jointly independent; with False, only dependence-free results apply
     (the indicators may be coupled arbitrarily).
     """
 
-    coeffs: tuple[float, ...]
-    probs: tuple[Probability, ...]
+    coeffs: np.ndarray
+    p_values: np.ndarray
     independent: bool = True
 
     def __init__(
@@ -82,18 +86,21 @@ class WeightedIndicatorSum(object):
         probs: Iterable[ProbabilityLike],
         independent: bool = True,
     ) -> None:
-        cs = tuple(float(c) for c in coeffs)
-        ps = tuple(as_probability(p) for p in probs)
-        if len(cs) != len(ps):
+        if not isinstance(coeffs, np.ndarray):
+            coeffs = list(coeffs)
+        cs = np.array(coeffs, dtype=float)
+        ps = _probability_array(probs)
+        if cs.shape != ps.shape:
             raise DomainError(
-                f"coefficient/probability length mismatch: {len(cs)} vs {len(ps)}"
+                f"coefficient/probability length mismatch: {cs.size} vs {ps.size}"
             )
         if len(cs) < 1:
             raise DomainError("a weighted sum needs at least one term")
-        if not all(math.isfinite(c) for c in cs):
+        if not np.all(np.isfinite(cs)):
             raise DomainError("coefficients must be finite reals")
+        cs.setflags(write=False)
         object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "probs", ps)
+        object.__setattr__(self, "p_values", ps)
         object.__setattr__(self, "independent", bool(independent))
 
     @classmethod
@@ -101,40 +108,31 @@ class WeightedIndicatorSum(object):
         """n independent copies with a common probability and weight."""
         if n < 1:
             raise DomainError(f"need n >= 1 terms, got {n}")
-        prob = as_probability(p)
-        return cls([coeff] * n, [prob] * n, independent=True)
+        return cls([coeff] * n, [p] * n, independent=True)
 
     @property
     def n_terms(self) -> int:
         return len(self.coeffs)
 
     @property
-    def p_values(self) -> tuple[float, ...]:
-        return tuple(prob.p for prob in self.probs)
-
-    @property
     def unit_coeffs(self) -> bool:
-        return all(c == 1.0 for c in self.coeffs)
+        return bool(np.all(self.coeffs == 1.0))
 
     def scaled(self, t: float) -> "WeightedIndicatorSum":
         """The sum with every coefficient multiplied by t."""
-        return WeightedIndicatorSum(
-            (t * c for c in self.coeffs), self.probs, self.independent
-        )
+        return WeightedIndicatorSum(t * self.coeffs, self.p_values, self.independent)
 
     @property
     def upper_range(self) -> float:
         """Essential supremum of the sum."""
-        return math.fsum(
-            max(c * (1.0 - pr.p), -c * pr.p) for c, pr in zip(self.coeffs, self.probs)
-        )
+        c, p = self.coeffs, self.p_values
+        return math.fsum(np.maximum(c * (1.0 - p), -c * p).tolist())
 
     @property
     def lower_range(self) -> float:
         """Essential infimum of the sum."""
-        return math.fsum(
-            min(c * (1.0 - pr.p), -c * pr.p) for c, pr in zip(self.coeffs, self.probs)
-        )
+        c, p = self.coeffs, self.p_values
+        return math.fsum(np.minimum(c * (1.0 - p), -c * p).tolist())
 
     @property
     def abs_range(self) -> float:
@@ -142,15 +140,20 @@ class WeightedIndicatorSum(object):
         return max(self.upper_range, -self.lower_range)
 
 
+def _term_norms(s: WeightedIndicatorSum) -> list[float]:
+    """|c(j)| Q(p(j)) for every term, Q on scalar libm (see _q_squared)."""
+    return [
+        abs(c) * math.sqrt(_q_squared(p))
+        for c, p in zip(s.coeffs.tolist(), s.p_values.tolist())
+    ]
+
+
 def norm_bound_dependent(s: WeightedIndicatorSum) -> SumNormBound:
     """Triangle bound sum |c(j)| Q(p(j)); valid under arbitrary dependence.
 
     fsum accumulation makes the value independent of term order.
     """
-    value = math.fsum(
-        abs(c) * q_norm(pr).value for c, pr in zip(s.coeffs, s.probs)
-    )
-    return SumNormBound(value, BoundKind.TRIANGLE_DEPENDENT)
+    return SumNormBound(math.fsum(_term_norms(s)), BoundKind.TRIANGLE_DEPENDENT)
 
 
 def norm_bound_independent(s: WeightedIndicatorSum) -> SumNormBound:
@@ -166,8 +169,7 @@ def norm_bound_independent(s: WeightedIndicatorSum) -> SumNormBound:
             "quadratic bound requires independent terms; "
             "use norm_bound_dependent for arbitrary dependence"
         )
-    terms = (c * q_norm(pr).value for c, pr in zip(s.coeffs, s.probs))
-    value = math.fsum(v * v for v in terms)
+    value = math.fsum(v * v for v in _term_norms(s))
     return SumNormBound(math.sqrt(value), BoundKind.QUADRATIC_INDEPENDENT)
 
 

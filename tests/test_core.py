@@ -35,6 +35,7 @@ from subgauss import (
     subgaussian_norm_numeric,
     tail_bound_from_norm,
 )
+from subgauss.core import _g_series
 
 # 40-digit oracle references, rounded to nearest float64
 Q_01 = 0.30170171140164875
@@ -229,6 +230,31 @@ class TestGProfile:
     def test_vector_limit_at_zero(self):
         v = g_values(0.2, np.array([0.0]))
         assert v[0] == pytest.approx(0.2 * 0.8 / 2.0, rel=1e-15)
+
+    def test_vector_is_bitwise_own_logaddexp(self):
+        # g is log_mgf_values / t^2 off the series window; pinned against
+        # the logaddexp expression written out, NaN bit patterns included
+        rng = np.random.default_rng(5)
+        cut = 1e-3
+        seam = [cut, np.nextafter(cut, 1.0), np.nextafter(cut, 0.0)]
+        pos = np.concatenate((
+            [0.0, 1e-300, 5e-324, 1e3, math.inf], seam,
+            np.geomspace(1e-8, 1e3, 400), rng.uniform(0.0, 2e-3, 100),
+        ))
+        lam = np.concatenate((pos, -pos, [math.nan]))
+        ps = [0.0, 1.0, 5e-324, 1e-12, 0.5, 0.5 + 1e-12, 1.0 - 1e-12]
+        ps += rng.uniform(0.0, 1.0, 40).tolist()
+        for p in ps:
+            with np.errstate(all="ignore"):
+                got = g_values(p, lam)
+                if p in (0.0, 1.0):
+                    ref = np.zeros_like(lam)
+                else:
+                    direct = np.logaddexp(
+                        math.log(p) + lam * (1.0 - p), math.log1p(-p) - lam * p
+                    ) / (lam * lam)
+                    ref = np.where(np.abs(lam) <= cut, _g_series(p, lam), direct)
+            assert got.tobytes() == ref.tobytes(), p
 
 
 class TestKearnsSaulGap:

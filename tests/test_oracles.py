@@ -33,7 +33,7 @@ from subgauss import (
     tail_curve,
     wilson_interval,
 )
-from subgauss.oracles import MC_BLOCK_SIZE
+from subgauss.oracles import MC_BLOCK_SIZE, _enumerate_outcomes
 
 WILSON_UPPER_0_100 = 0.062220687715822974  # z = 2.5758293035489004
 
@@ -62,6 +62,49 @@ def out_of_place_dp(ps):
             mass[1:k + 1] = mass[1:k + 1] * q + mass[:k] * p
         mass[0] *= q
     return mass
+
+
+def bit_loop_outcomes(s):
+    """Outcomes by a uint32 bit mask per term: the enumeration reference."""
+    idx = np.arange(1 << s.n_terms, dtype=np.uint32)
+    raw = np.zeros(idx.size)
+    prob = np.ones(idx.size)
+    for j, (c, p) in enumerate(zip(s.coeffs.tolist(), s.p_values.tolist())):
+        bit = ((idx >> np.uint32(j)) & np.uint32(1)).astype(bool)
+        raw += np.where(bit, c, 0.0)
+        prob *= np.where(bit, p, 1.0 - p)
+    return raw - math.fsum((s.coeffs * s.p_values).tolist()), prob
+
+
+def unmerged_tail(s, x, side, strict):
+    """Tail summed over all 2^m outcomes, no atoms merged: the reference."""
+    values, probs = bit_loop_outcomes(s)
+    if side == "max_both":
+        return max(unmerged_tail(s, x, "upper", strict),
+                   unmerged_tail(s, x, "lower", strict))
+    if side == "upper":
+        sel = values > x if strict else values >= x
+    else:
+        sel = values < -x if strict else values <= -x
+    return math.fsum(np.sort(probs[sel]).tolist())
+
+
+def enumeration_sum(rng):
+    """Float, unit, integer or quarter-dyadic weights; some p in {0, 1/2, 1}."""
+    m = int(rng.integers(1, 13))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        coeffs = rng.normal(scale=2.0, size=m)
+    elif kind == 1:
+        coeffs = np.ones(m)
+    elif kind == 2:
+        coeffs = rng.integers(-3, 4, size=m).astype(float)
+    else:
+        coeffs = rng.integers(-8, 9, size=m) / 4.0
+    probs = rng.uniform(0.0, 1.0, size=m)
+    special = rng.random(m) < 0.3
+    probs[special] = rng.choice([0.0, 0.5, 1.0], size=int(special.sum()))
+    return WeightedIndicatorSum(coeffs, probs)
 
 
 def single_shot_estimates(s, xs, n_samples, seed, side):
@@ -139,6 +182,15 @@ class TestPoissonBinomialDp:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             poisson_binomial_table([0.5] * 7, cap=6)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-300, 1.0000000000000002])
+    def test_rejects_bad_probability(self, bad):
+        with pytest.raises(DomainError, match=f"got {bad!r}$"):
+            poisson_binomial_table([0.5, bad, 7.0])
+
+    def test_accepts_probability_objects(self):
+        t = poisson_binomial_table([subgauss.Probability(0.2), 0.5])
+        assert t.masses.tolist() == poisson_binomial_table([0.2, 0.5]).masses.tolist()
 
     def test_large_n_mass_conserved(self):
         t = poisson_binomial_table(np.linspace(0.01, 0.99, 2000))
@@ -229,6 +281,36 @@ class TestEnumeration:
         s = WeightedIndicatorSum([1.0, 1.0], [0.5, 0.5], independent=False)
         with pytest.raises(DependenceError):
             exhaustive_outcome_table(s)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_doubling_is_bitwise_bit_loop(self, seed):
+        s = enumeration_sum(np.random.default_rng(seed))
+        values, probs = _enumerate_outcomes(s, 20)
+        ref_values, ref_probs = bit_loop_outcomes(s)
+        # byte comparison also tells -0.0 from 0.0
+        assert values.tobytes() == ref_values.tobytes()
+        assert probs.tobytes() == ref_probs.tobytes()
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_weighted_tail_is_bitwise_unmerged_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        s = enumeration_sum(rng)
+        values, _ = bit_loop_outcomes(s)
+        # attained atoms (both signs) make strictness matter
+        xs = np.abs(values[:4]).tolist() + [0.0, float(rng.uniform(0.0, 3.0))]
+        for x in xs:
+            for side in ("upper", "lower", "max_both"):
+                for strict in (True, False):
+                    got = exhaustive_weighted_tail(s, x, side, strict)
+                    ref = unmerged_tail(s, x, side, strict)
+                    assert got.hex() == ref.hex(), (x, side, strict)
+
+    def test_weighted_tail_rejects_nan_and_unknown_side(self):
+        s = WeightedIndicatorSum([1.0, 2.0], [0.5, 0.5])
+        with pytest.raises(DomainError):
+            exhaustive_weighted_tail(s, math.nan)
+        with pytest.raises(DomainError):
+            exhaustive_weighted_tail(s, 0.0, side="both")
 
     def test_weighted_tail_shortcut(self):
         s = WeightedIndicatorSum([1.5, -0.5, 1.0], [0.2, 0.6, 0.4])

@@ -126,6 +126,17 @@ class TestReportBuild:
         assert a.metadata["terms_digest"] != b.metadata["terms_digest"]
         assert a.metadata["terms_digest"] == c.metadata["terms_digest"]
 
+    def test_digest_frozen(self):
+        # hashes the reprs of Python floats, never 'np.float64(...)'
+        coeffs, probs = [1.0, -2.5, 0.1, 0.0], [0.2, 0.5, 1.0, 1e-300]
+        assert report_module._terms_digest(WeightedIndicatorSum(coeffs, probs)) == (
+            "11844b7d466c521c7bd8ac1b3354be5f19f252d3debb766f4a6c77bb1771613a"
+        )
+        dependent = WeightedIndicatorSum(coeffs, probs, independent=False)
+        assert report_module._terms_digest(dependent) == (
+            "4797eb5d70eb39a21bdf869768912c7f3bd943d0125064b5c0af5cb334aa9cc1"
+        )
+
     def test_binomial_exact_tails_closed_form(self):
         # four fair coins: P(|S| > 0) side max is 5/16, P(|S| > 1) is 1/16
         rep = build_bound_report(WeightedIndicatorSum.iid(4, 0.5), [0.0, 1.0, 2.0])
@@ -250,6 +261,14 @@ class TestCliBound:
     def test_probability_out_of_range_is_usage_error(self):
         r = run_cli("bound", "--probs", "1.5", "--x-grid", "1")
         assert r.returncode == 2
+
+    def test_spec_probability_out_of_range_is_usage_error(self, tmp_path):
+        spec = tmp_path / "bad.txt"
+        spec.write_text("1.0 0.5\n2.0 1.5\n")
+        r = run_cli("bound", str(spec))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "got 1.5" in r.stderr
 
     def test_thread_count_does_not_change_output(self):
         coeffs = ",".join(str(1.0 + 0.01 * k) for k in range(25))

@@ -1,13 +1,16 @@
 """Weighted-sum container and the two norm combination rules."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
 
 from subgauss import (
     BoundKind,
     DependenceError,
     DomainError,
+    Probability,
     SumNormBound,
     WeightedIndicatorSum,
     best_norm_bound,
@@ -24,12 +27,29 @@ QUAD_2Q01_HALF = 0.5541189811993156
 INV_SQRT3 = 0.5773502691896257
 
 
+def bits(x):
+    """The IEEE bit pattern, so that -0.0 and 0.0 compare unequal."""
+    return struct.pack("<d", x)
+
+
+def per_term_reference(s):
+    """Bounds and ranges summed term by term from q_norm: the reference."""
+    cs, ps = s.coeffs.tolist(), s.p_values.tolist()
+    qs = [q_norm(p).value for p in ps]
+    return (
+        math.fsum(abs(c) * q for c, q in zip(cs, qs)),
+        math.sqrt(math.fsum((c * q) * (c * q) for c, q in zip(cs, qs))),
+        math.fsum(max(c * (1.0 - p), -c * p) for c, p in zip(cs, ps)),
+        math.fsum(min(c * (1.0 - p), -c * p) for c, p in zip(cs, ps)),
+    )
+
+
 class TestContainer:
     def test_iid_constructor(self):
         s = WeightedIndicatorSum.iid(4, 0.3)
         assert s.n_terms == 4
-        assert s.p_values == (0.3, 0.3, 0.3, 0.3)
-        assert s.coeffs == (1.0, 1.0, 1.0, 1.0)
+        assert s.p_values.tolist() == [0.3, 0.3, 0.3, 0.3]
+        assert s.coeffs.tolist() == [1.0, 1.0, 1.0, 1.0]
         assert s.independent
 
     def test_length_mismatch(self):
@@ -57,12 +77,79 @@ class TestContainer:
 
     def test_scaled(self):
         s = WeightedIndicatorSum([1.0, 2.0], [0.2, 0.8]).scaled(-0.5)
-        assert s.coeffs == (-0.5, -1.0)
-        assert s.p_values == (0.2, 0.8)
+        assert s.coeffs.tolist() == [-0.5, -1.0]
+        assert s.p_values.tolist() == [0.2, 0.8]
 
     def test_scaled_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             WeightedIndicatorSum.iid(2, 0.5).scaled(math.nan)
+
+    def test_arrays_are_read_only_float64(self):
+        coeffs = np.array([1, 2, 3])
+        s = WeightedIndicatorSum(coeffs, [0.1, 0.2, 0.3])
+        for arr in (s.coeffs, s.p_values):
+            assert arr.dtype == np.float64
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        coeffs[0] = 9  # the sum holds its own copy
+        assert s.coeffs.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("make", [
+        lambda c, p: (c, p),
+        lambda c, p: (tuple(c), tuple(p)),
+        lambda c, p: ((x for x in c), (x for x in p)),
+        lambda c, p: (np.array(c), np.array(p)),
+        lambda c, p: (c, [Probability(x) for x in p]),
+        lambda c, p: (c, [Probability(p[0]), p[1], np.float64(p[2])]),
+    ])
+    def test_construction_inputs(self, make):
+        s = WeightedIndicatorSum(*make([1.0, -2.0, 0.5], [0.0, 0.5, 1.0]))
+        assert s.coeffs.tolist() == [1.0, -2.0, 0.5]
+        assert s.p_values.tolist() == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("bad, shown", [
+        (math.nan, "nan"), (-0.25, "-0.25"), (1.5, "1.5"), (math.inf, "inf"),
+    ])
+    def test_bad_probability_named(self, bad, shown):
+        with pytest.raises(DomainError, match=rf"got {shown}$"):
+            WeightedIndicatorSum([1.0] * 4, [0.5, bad, 2.0, 0.5])
+
+    def test_length_mismatch_message(self):
+        with pytest.raises(DomainError, match="mismatch: 2 vs 3"):
+            WeightedIndicatorSum([1.0, 2.0], np.array([0.5, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bounds_and_ranges_match_per_term_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 40))
+        coeffs = rng.normal(scale=3.0, size=m)
+        coeffs[rng.random(m) < 0.15] = 0.0
+        coeffs[rng.random(m) < 0.05] = -0.0
+        probs = rng.uniform(0.0, 1.0, size=m)
+        probs[rng.random(m) < 0.3] = rng.choice([0.0, 0.5, 1.0])
+        self.check_against_reference(WeightedIndicatorSum(coeffs, probs))
+
+    @pytest.mark.parametrize("coeffs, probs", [
+        ([0.0], [0.3]),
+        ([-0.0], [0.3]),
+        ([0.0, -0.0, -0.0], [1.0, 0.0, 0.5]),
+        ([-1.0, 2.0], [0.0, 1.0]),
+    ])
+    def test_zero_terms_match_per_term_reference(self, coeffs, probs):
+        # every term's range end is a signed zero here, so only the sum's
+        # handling of -0.0 decides the bits
+        self.check_against_reference(WeightedIndicatorSum(coeffs, probs))
+
+    @staticmethod
+    def check_against_reference(s):
+        got = (
+            norm_bound_dependent(s).value,
+            norm_bound_independent(s).value,
+            s.upper_range,
+            s.lower_range,
+        )
+        assert [bits(v) for v in got] == [bits(v) for v in per_term_reference(s)]
 
 
 class TestNormBounds:
