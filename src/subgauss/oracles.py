@@ -60,6 +60,33 @@ _DP_CAP = 100_000
 _MASS_TOL = 1e-12
 _MEAN_TOL = 1e-10
 
+# Block length of the cheap sum that lets table validation skip fsum.
+_SUM_BLOCK = 128
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _surely_within(x: np.ndarray, target: float, tol: float) -> bool:
+    """Whether abs(fsum(x) - target) <= tol is certain without the fsum.
+
+    Summing k terms in any order errs by at most (k - 1) u sum|x|, to
+    first order in the unit roundoff u.  So summing blocks of _SUM_BLOCK
+    terms with np.add.reduceat, whatever order numpy picks, then fsum of
+    the block sums, is within 128 u sum|x| of the exact sum, plus the
+    final rounding of fsum.  The bound below takes 130 u and a few ulps
+    of the operands more, which also covers the rounding of this test
+    itself.  False means only that the cheap sum cannot decide; the
+    caller then runs fsum.
+    """
+    starts = np.arange(0, x.size, _SUM_BLOCK)
+    try:
+        with np.errstate(all="ignore"):  # inf or nan sums just fail the test
+            est = math.fsum(np.add.reduceat(x, starts).tolist())
+            mag = math.fsum(np.add.reduceat(np.abs(x), starts).tolist())
+    except (ValueError, OverflowError):  # inf - inf, or overflow in fsum
+        return False
+    err = 130 * _U * mag + 8 * _U * (abs(est) + abs(target))
+    return abs(est - target) + err < tol
+
 
 @dataclass(frozen=True)
 class DistributionTable(object):
@@ -83,12 +110,15 @@ class DistributionTable(object):
             raise DomainError("support must be strictly increasing")
         if np.any(masses < 0.0) or not np.all(np.isfinite(masses)):
             raise DomainError("masses must be finite and nonnegative")
-        total = math.fsum(masses.tolist())
-        if abs(total - 1.0) > _MASS_TOL:
-            raise DomainError(f"masses sum to {total!r}, not 1 within {_MASS_TOL}")
-        mean = math.fsum((support * masses).tolist())
-        if abs(mean) > _MEAN_TOL:
-            raise DomainError(f"table mean {mean!r} exceeds the {_MEAN_TOL} tolerance")
+        if not _surely_within(masses, 1.0, _MASS_TOL):
+            total = math.fsum(masses.tolist())
+            if abs(total - 1.0) > _MASS_TOL:
+                raise DomainError(f"masses sum to {total!r}, not 1 within {_MASS_TOL}")
+        moments = support * masses
+        if not _surely_within(moments, 0.0, _MEAN_TOL):
+            mean = math.fsum(moments.tolist())
+            if abs(mean) > _MEAN_TOL:
+                raise DomainError(f"table mean {mean!r} exceeds the {_MEAN_TOL} tolerance")
         support.setflags(write=False)
         masses.setflags(write=False)
         object.__setattr__(self, "support", support)
@@ -125,9 +155,15 @@ def poisson_binomial_table(
 ) -> DistributionTable:
     """Exact law of a sum of independent centered indicators, unit weights.
 
-    Convolves term by term (O(n^2) dynamic program) in float64.  The
-    support is {k - sum p(i) : k = 0..n} with the shift accumulated by
-    fsum, so atoms line up bitwise with the enumeration oracle.
+    Convolves term by term in float64, as the step
+    new[k] = q * mass[k] + p * mass[k-1], but only over the band of
+    nonzero atoms: O(n w), where the band width w (the atoms above
+    underflow) grows like sqrt(n).  Atoms outside the band are exact +0,
+    and every atom at a band edge is computed as q * m + p * 0 or
+    q * 0 + p * m, which round like q * m and p * m alone, so the table
+    is bitwise that of the full O(n^2) update.  The support is
+    {k - sum p(i) : k = 0..n} with the shift accumulated by fsum, so
+    atoms line up bitwise with the enumeration oracle.
     """
     ps = _probability_array(probs).tolist()
     n = len(ps)
@@ -136,23 +172,29 @@ def poisson_binomial_table(
     if n > cap:
         raise CapExceededError(f"n = {n} exceeds the DP cap {cap}")
 
-    # one buffer updated in place: per-step temporaries get page-faulted anew
-    mass = np.zeros(n + 1, dtype=float)
-    mass[0] = 1.0
-    buf = np.empty(n, dtype=float)
-    for k, p in enumerate(ps):
-        q = 1.0 - p
-        mass[k + 1] = mass[k] * p
-        head = mass[1:k + 1]
-        # mass[:k] overlaps head, so take its product before scaling head
-        np.multiply(mass[:k], p, out=buf[:k])
-        head *= q
-        head += buf[:k]
-        mass[0] *= q
+    # mass[k + 1] holds atom k; mass[0] is a permanent +0 pad, so the
+    # shifted band mass[lo - 1:hi + 1] never needs an edge case.  One
+    # buffer updated in place: per-step temporaries get page-faulted anew.
+    mass = np.zeros(n + 2, dtype=float)
+    mass[1] = 1.0
+    buf = np.empty(n + 1, dtype=float)
+    lo = hi = 1  # the nonzero atoms sit in mass[lo:hi + 1]
+    for p in ps:
+        # mass[lo - 1:hi + 1] overlaps band, so take its product first
+        shifted = buf[:hi - lo + 2]
+        np.multiply(mass[lo - 1:hi + 1], p, out=shifted)
+        band = mass[lo:hi + 2]
+        band *= 1.0 - p
+        band += shifted
+        hi += 1
+        while mass[lo] == 0.0:
+            lo += 1
+        while mass[hi] == 0.0:
+            hi -= 1
 
     shift = math.fsum(ps)
     support = np.arange(n + 1, dtype=float) - shift
-    return DistributionTable(support, mass)
+    return DistributionTable(support, mass[1:])
 
 
 def _tail_mass(

@@ -122,17 +122,25 @@ class WeightedIndicatorSum(object):
         """The sum with every coefficient multiplied by t."""
         return WeightedIndicatorSum(t * self.coeffs, self.p_values, self.independent)
 
+    def _essential_terms(self, extreme) -> list[float]:
+        """Per-term extreme(c (1 - p), -c p), +0.0 for a.s. zero terms.
+
+        A term with p in {0, 1} is almost surely 0, so its other value,
+        of probability 0, must not move the essential range.
+        """
+        c, p = self.coeffs, self.p_values
+        live = (p > 0.0) & (p < 1.0)
+        return np.where(live, extreme(c * (1.0 - p), -c * p), 0.0).tolist()
+
     @property
     def upper_range(self) -> float:
         """Essential supremum of the sum."""
-        c, p = self.coeffs, self.p_values
-        return math.fsum(np.maximum(c * (1.0 - p), -c * p).tolist())
+        return math.fsum(self._essential_terms(np.maximum))
 
     @property
     def lower_range(self) -> float:
         """Essential infimum of the sum."""
-        c, p = self.coeffs, self.p_values
-        return math.fsum(np.minimum(c * (1.0 - p), -c * p).tolist())
+        return math.fsum(self._essential_terms(np.minimum))
 
     @property
     def abs_range(self) -> float:

@@ -33,6 +33,7 @@ from subgauss import (
     tail_curve,
     wilson_interval,
 )
+import subgauss.oracles as oracles_module
 from subgauss.oracles import MC_BLOCK_SIZE, _enumerate_outcomes
 
 WILSON_UPPER_0_100 = 0.062220687715822974  # z = 2.5758293035489004
@@ -62,6 +63,103 @@ def out_of_place_dp(ps):
             mass[1:k + 1] = mass[1:k + 1] * q + mass[:k] * p
         mass[0] *= q
     return mass
+
+
+def assert_same_bits(got, want):
+    """Bitwise equality; unlike array_equal it tells -0.0 from +0.0."""
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _band_inputs():
+    rng = np.random.default_rng(99)
+    scattered = rng.uniform(0.0, 1.0, size=2000)
+    null = rng.random(2000) < 0.2
+    scattered[null] = rng.choice([0.0, 1.0], size=int(null.sum()))
+    extreme = rng.uniform(0.0, 1.0, size=1500)
+    picks = rng.random(1500) < 0.3
+    extreme[picks] = rng.choice(
+        [5e-324, 1e-300, 1.0 - 2.0 ** -53, 0.0, 1.0], size=int(picks.sum())
+    )
+    return {
+        # p = 0 leaves the band as it is, p = 1 shifts it up by one atom
+        "null terms scattered": scattered,
+        "null terms leading": np.concatenate((np.ones(40), np.zeros(40), scattered[:500])),
+        "extreme p": extreme,
+        "fair coins": np.full(5000, 0.5),
+        # 3000 terms: the first and last nonzero atoms are subnormal
+        "uniform": rng.uniform(0.05, 0.95, size=3000),
+        "one-sided": rng.uniform(0.0, 1e-3, size=4000),
+    }
+
+
+BAND_INPUTS = _band_inputs()
+
+
+def binomial_upper_tail(mpmath, n, k):
+    """P(K > k) for K ~ Binomial(n, 1/2), at 50 digits: the reference."""
+    with mpmath.workdps(50):
+        term = mpmath.binomial(n, k + 1) / mpmath.mpf(2) ** n
+        total = mpmath.mpf(0)
+        j = k + 1
+        while j <= n and term > mpmath.mpf(10) ** -40:
+            total += term
+            term = term * (n - j) / (j + 1)
+            j += 1
+        return float(total)
+
+
+def fsum_only_check(support, masses):
+    """Table validation's sum checks by fsum alone: the reference.
+
+    Returns the DomainError message, or None for an accepted table.
+    """
+    total = math.fsum(masses.tolist())
+    if abs(total - 1.0) > 1e-12:
+        return f"masses sum to {total!r}, not 1 within 1e-12"
+    mean = math.fsum((support * masses).tolist())
+    if abs(mean) > 1e-10:
+        return f"table mean {mean!r} exceeds the 1e-10 tolerance"
+    return None
+
+
+def edge_table(n, total, mean, seed, step=2.0 ** -24):
+    """A table whose fsum mass is `total` and fsum mean `mean`, exactly.
+
+    The support is (i - z) * step.  Masses mirror about the zero atom z,
+    so their moments cancel exactly; one atom at +-step carries
+    |mean| / step (exact: step is a power of two) and the zero atom fixes
+    the total.  In every 128 atoms the first 7 carry the mass and the
+    rest hold 2.5e-20, under half an ulp of the large ones at 2^16 atoms:
+    a float sum that adds the large masses first drops the small ones, so
+    a blocked sum misses the total by several ulps.  z = 3 mod 64 keeps
+    that layout mirrored.
+    """
+    rng = np.random.default_rng(seed)
+    z = n // 2 - n // 2 % 64 + 3
+    support = (np.arange(n) - z) * step
+    j = np.arange(1, min(z, n - 1 - z) + 1)  # mirrored pairs z +- j
+    large = (z + j) % 128 < 7
+    half = np.where(large, rng.uniform(0.9, 1.1, size=j.size), 0.0)
+    half *= (1.0 - 2.0 / n - abs(mean) / step) / (2.0 * math.fsum(half.tolist()))
+    half[~large] = 2.5e-20
+    half[0] = 0.0  # the +-step atoms hold only the mean
+    masses = np.zeros(n)
+    masses[z + j] = half
+    masses[z - j] = half
+    masses[z + (1 if mean > 0 else -1)] = abs(mean) / step
+    masses[z] = math.fsum([total] + [-m for m in masses.tolist()])
+    assert masses[z] > 0.0
+    assert math.fsum(masses.tolist()) == total
+    assert math.fsum((support * masses).tolist()) == mean
+    return support, masses
+
+
+def ulps_from(x, k):
+    """The float k steps from x (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
 
 
 def bit_loop_outcomes(s):
@@ -159,6 +257,75 @@ class TestDistributionTable:
         with pytest.raises(ValueError):
             t.masses[0] = 1.0
 
+    # the total steps 2^-52 above 1 and 2^-53 below; each list straddles
+    # the 1e-12 edge by 4 ulps on either side
+    MASS_EDGE = (
+        [1.0 + k * 2.0 ** -52 for k in range(4499, 4508)]
+        + [1.0 - k * 2.0 ** -53 for k in range(9003, 9012)]
+    )
+    MEAN_EDGE = [s * ulps_from(1e-10, k) for s in (1.0, -1.0) for k in range(-4, 5)]
+
+    @pytest.mark.parametrize("n", [301, 1 << 16])
+    @pytest.mark.parametrize("total", MASS_EDGE)
+    def test_mass_edge_decided_as_fsum(self, n, total):
+        support, masses = edge_table(n, total, 0.0, seed=n)
+        self.check_like_reference(support, masses)
+
+    @pytest.mark.parametrize("n", [301, 1 << 16])
+    @pytest.mark.parametrize("mean", MEAN_EDGE)
+    def test_mean_edge_decided_as_fsum(self, n, mean):
+        support, masses = edge_table(n, 1.0, mean, seed=n + 1)
+        self.check_like_reference(support, masses)
+
+    def test_edges_are_straddled(self):
+        verdicts = {
+            fsum_only_check(*edge_table(301, total, 0.0, seed=1)) is None
+            for total in self.MASS_EDGE
+        }
+        assert verdicts == {True, False}
+        verdicts = {
+            fsum_only_check(*edge_table(301, 1.0, mean, seed=1)) is None
+            for mean in self.MEAN_EDGE
+        }
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("mean", [3e-11, -3e-11, 2e-10, -2e-10])
+    def test_large_support_falls_back_to_fsum(self, monkeypatch, mean):
+        # |support| up to 2^20: the cheap bound is wider than the 1e-10
+        # mean tolerance, so only fsum can decide
+        support, masses = edge_table(1 << 16, 1.0, mean, seed=5, step=32.0)
+        verdicts = self.spy_cheap_sums(monkeypatch)
+        self.check_like_reference(support, masses)
+        assert verdicts == [True, False]
+
+    def test_ordinary_table_skips_fsum(self, monkeypatch):
+        ps = np.random.default_rng(3).uniform(0.05, 0.95, size=2000)
+        verdicts = self.spy_cheap_sums(monkeypatch)
+        poisson_binomial_table(ps)
+        assert verdicts == [True, True]
+
+    @staticmethod
+    def spy_cheap_sums(monkeypatch):
+        verdicts = []
+        real = oracles_module._surely_within
+
+        def spy(x, target, tol):
+            verdicts.append(real(x, target, tol))
+            return verdicts[-1]
+
+        monkeypatch.setattr(oracles_module, "_surely_within", spy)
+        return verdicts
+
+    @staticmethod
+    def check_like_reference(support, masses):
+        expected = fsum_only_check(support, masses)
+        if expected is None:
+            DistributionTable(support, masses)
+        else:
+            with pytest.raises(DomainError) as err:
+                DistributionTable(support, masses)
+            assert str(err.value) == expected
+
 
 class TestPoissonBinomialDp:
     def test_fair_four_coins_binomial_exact(self):
@@ -197,11 +364,46 @@ class TestPoissonBinomialDp:
         assert abs(t.total_mass() - 1.0) < 1e-12
         assert abs(t.mean()) < 1e-10
 
-    @pytest.mark.parametrize("n", [1, 2, 17, 400, 3000])
+    @pytest.mark.parametrize("n", [1, 2, 17, 400, 3000, 10_000, 30_000])
     def test_in_place_update_is_bitwise_out_of_place(self, n):
         ps = np.random.default_rng(n).uniform(0.0, 1.0, size=n)
         t = poisson_binomial_table(ps)
-        assert np.array_equal(t.masses, out_of_place_dp(ps.tolist()))
+        assert_same_bits(t.masses, out_of_place_dp(ps.tolist()))
+
+    @pytest.mark.parametrize("name", sorted(BAND_INPUTS))
+    def test_banded_update_is_bitwise_on_band_edge_inputs(self, name):
+        ps = BAND_INPUTS[name]
+        t = poisson_binomial_table(ps)
+        assert_same_bits(t.masses, out_of_place_dp(ps.tolist()))
+
+    def test_band_edges_reach_subnormal_atoms(self):
+        # guards the input above: both ends of the band are subnormal
+        masses = poisson_binomial_table(BAND_INPUTS["uniform"]).masses
+        band = masses[np.flatnonzero(masses)]
+        assert band[0] < np.finfo(float).tiny
+        assert band[-1] < np.finfo(float).tiny
+
+    def test_cap_exceeded_before_any_dp_work(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"DP touched np.{name} past the cap")
+
+        monkeypatch.setattr(oracles_module, "np", NoNumpy())
+        with pytest.raises(CapExceededError, match="100001 exceeds the DP cap 100000"):
+            poisson_binomial_table([0.5] * 100_001)
+
+    def test_fair_coins_at_the_cap(self):
+        mpmath = pytest.importorskip("mpmath")
+        n = 100_000
+        t = poisson_binomial_table(np.full(n, 0.5))  # validated on construction
+        assert t.n_atoms == n + 1
+        assert abs(t.total_mass() - 1.0) <= 1e-12
+        assert abs(t.mean()) <= 1e-10
+        # 0, about 1 sigma and about 5 sigma; sigma = sqrt(n) / 2 = 158.1
+        for x in (0.0, 158.0, 790.0):
+            want = binomial_upper_tail(mpmath, n, n // 2 + int(x))
+            for side in ("upper", "lower", "max_both"):
+                assert abs(exact_tail(t, x, side=side) - want) <= 1e-12
 
 
 class TestExactTail:

@@ -244,6 +244,20 @@ class TestCliBound:
         assert doc["metadata"]["exact_method"] == "dp"
         assert doc["metadata"]["n_terms"] == 3
 
+    def test_all_null_terms_grid_is_zero(self):
+        # the sum is almost surely 0, so its default grid collapses to x = 0
+        r = run_cli("bound", "--probs", "0,0")
+        assert r.returncode == 0, r.stderr
+        rows = r.stdout.strip().split("\n")[1:]
+        assert len(rows) == 17
+        assert all(row.split(",")[0] == "0" for row in rows)
+
+    def test_default_grid_ignores_null_terms(self):
+        r = run_cli("bound", "--probs", "0,1,0.5", "--format", "json")
+        assert r.returncode == 0, r.stderr
+        xs = [row["x"] for row in json.loads(r.stdout)["rows"]]
+        assert xs == [k / 32 for k in range(17)]
+
     def test_dependent_note_on_stderr_only(self):
         r = run_cli("bound", "--probs", "0.5,0.5", "--dependent", "--x-grid", "1")
         assert r.returncode == 0

@@ -33,14 +33,20 @@ def bits(x):
 
 
 def per_term_reference(s):
-    """Bounds and ranges summed term by term from q_norm: the reference."""
+    """Bounds and ranges summed term by term from q_norm: the reference.
+
+    A term with p in {0, 1} is almost surely 0 and adds +0.0 to a range.
+    """
     cs, ps = s.coeffs.tolist(), s.p_values.tolist()
     qs = [q_norm(p).value for p in ps]
+    live = [0.0 < p < 1.0 for p in ps]
     return (
         math.fsum(abs(c) * q for c, q in zip(cs, qs)),
         math.sqrt(math.fsum((c * q) * (c * q) for c, q in zip(cs, qs))),
-        math.fsum(max(c * (1.0 - p), -c * p) for c, p in zip(cs, ps)),
-        math.fsum(min(c * (1.0 - p), -c * p) for c, p in zip(cs, ps)),
+        math.fsum(max(c * (1.0 - p), -c * p) if ok else 0.0
+                  for c, p, ok in zip(cs, ps, live)),
+        math.fsum(min(c * (1.0 - p), -c * p) if ok else 0.0
+                  for c, p, ok in zip(cs, ps, live)),
     )
 
 
@@ -67,6 +73,18 @@ class TestContainer:
     def test_unit_coeffs_flag(self):
         assert WeightedIndicatorSum.iid(3, 0.2).unit_coeffs
         assert not WeightedIndicatorSum([1.0, 2.0], [0.2, 0.2]).unit_coeffs
+
+    def test_null_terms_leave_ranges_at_zero(self):
+        # p = 0 and p = 1 terms are almost surely 0: their other outcome
+        # has probability 0 and is not in the essential range
+        s = WeightedIndicatorSum([1.0, 2.0], [0.0, 1.0])
+        assert bits(s.upper_range) == bits(0.0)
+        assert bits(s.lower_range) == bits(0.0)
+        assert bits(s.abs_range) == bits(0.0)
+
+    def test_null_terms_do_not_widen_ranges(self):
+        s = WeightedIndicatorSum([1.0, -3.0, 1.0, 5.0], [0.0, 1.0, 0.5, 1.0])
+        assert (s.upper_range, s.lower_range, s.abs_range) == (0.5, -0.5, 0.5)
 
     def test_ranges(self):
         s = WeightedIndicatorSum([2.0, -1.0], [0.25, 0.25])
