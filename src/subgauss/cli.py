@@ -19,13 +19,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from ._version import __version__
 from .core import gls_norm, lambda_star, q_asymptotic, q_norm
-from .errors import CapExceededError, DomainError, SubgaussError
+from .errors import CapExceededError, SubgaussError
 from .oracles import exact_tail, poisson_binomial_table
-from .report import build_bound_report, report_to_csv, report_to_json
+from .report import _fmt, build_bound_report, report_to_csv, report_to_json
 from .sums import WeightedIndicatorSum, hoeffding_reference_tail
 from .verify import SUITES, SweepResult, run_suite
 
@@ -66,12 +67,19 @@ def _parse_grid(text: str) -> list[float]:
     return _parse_floats(text)
 
 
-def _fmt17(value: float | None) -> str:
-    return "" if value is None else f"{value:.17g}"
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _emit_rows(rows: list[tuple], columns: Sequence[str], fmt: str) -> None:
+    """Rows of values in column order, as a JSON list of objects or as CSV.
+
+    The CSV header comes from columns, so an empty table still has one.
+    """
+    if fmt == "json":
+        _emit(json.dumps([dict(zip(columns, r)) for r in rows], indent=2))
+    else:
+        _emit("\n".join([",".join(columns)] + [",".join(map(_fmt, r)) for r in rows]))
 
 
 def _note(text: str) -> None:
@@ -125,24 +133,9 @@ def _cmd_q(args: argparse.Namespace) -> int:
         q = q_norm(p).value
         lam0 = lambda_star(p) if 0.0 < p < 1.0 else None
         asym = q_asymptotic(p) if p not in (0.0, 0.5, 1.0) else None
-        gls = gls_norm(p)
-        rows.append({
-            "p": p,
-            "q_norm": q,
-            "lambda_star": lam0,
-            "q_asymptotic": asym,
-            "gls_norm": gls,
-        })
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2))
-    else:
-        header = "p,q_norm,lambda_star,q_asymptotic,gls_norm"
-        lines = [header] + [
-            ",".join(_fmt17(r[k]) for k in
-                     ("p", "q_norm", "lambda_star", "q_asymptotic", "gls_norm"))
-            for r in rows
-        ]
-        _emit("\n".join(lines))
+        rows.append((p, q, lam0, asym, gls_norm(p)))
+    _emit_rows(rows, ("p", "q_norm", "lambda_star", "q_asymptotic", "gls_norm"),
+               args.format)
     return _EXIT_OK
 
 
@@ -213,25 +206,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for name in suites:
         results.append(run_suite(name, **_verify_kwargs(args, name)))
     if args.format == "json":
-        _emit(json.dumps(
-            [
-                {
-                    "suite": r.suite,
-                    "passed": r.passed,
-                    "worst": r.worst,
-                    "witness": r.witness,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-            indent=2,
-        ))
+        _emit(json.dumps([asdict(r) for r in results], indent=2))
     else:
         lines = ["suite,passed,worst,witness"]
         for r in results:
             witness = ";".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
                                for k, v in r.witness.items())
-            lines.append(f"{r.suite},{str(r.passed).lower()},{_fmt17(r.worst)},{witness}")
+            lines.append(f"{r.suite},{str(r.passed).lower()},{_fmt(r.worst)},{witness}")
         _emit("\n".join(lines))
     for r in results:
         _note(r.summary())
@@ -252,20 +233,8 @@ def _cmd_example32(args: argparse.Namespace) -> int:
     for x in kept:
         tail = exact_tail(table, x * rn / 2.0, side="upper")
         gauss = hoeffding_reference_tail(n, x)
-        rows.append({
-            "x": x,
-            "scaled_tail": tail,
-            "gauss_bound": gauss,
-            "ratio": tail * x * math.exp(x * x / 2.0),
-        })
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2))
-    else:
-        lines = ["x,scaled_tail,gauss_bound,ratio"] + [
-            ",".join(_fmt17(r[k]) for k in ("x", "scaled_tail", "gauss_bound", "ratio"))
-            for r in rows
-        ]
-        _emit("\n".join(lines))
+        rows.append((x, tail, gauss, tail * x * math.exp(x * x / 2.0)))
+    _emit_rows(rows, ("x", "scaled_tail", "gauss_bound", "ratio"), args.format)
     return _EXIT_OK
 
 
@@ -345,7 +314,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapExceededError as exc:
         _note(f"infeasible: {exc}")
         return _EXIT_INFEASIBLE
-    except (DomainError, SubgaussError, ValueError) as exc:
+    except (SubgaussError, ValueError) as exc:
         _note(f"error: {exc}")
         return _EXIT_USAGE
 

@@ -139,6 +139,7 @@ class DistributionTable(object):
 class McEstimate(object):
     """A Monte Carlo proportion with its Wilson-score 99% interval."""
 
+    # Field order is the key order of a report row's "mc" object.
     point: float
     ci_low: float
     ci_high: float

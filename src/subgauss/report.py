@@ -12,13 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from ._version import __version__
 from .core import tail_bound_from_norm
 from .errors import CapExceededError, DomainError
 from .oracles import (
+    _DP_CAP,
+    _EXHAUSTIVE_CAP,
     McEstimate,
     exact_tail,
     exhaustive_outcome_table,
@@ -48,6 +50,7 @@ EXACT_INVARIANT_TOL = 1e-12
 class BoundRow(object):
     """One threshold with its bound and available ground truth."""
 
+    # Field order is the key order of report JSON rows.
     x: float
     exact_tail: float | None
     mc: McEstimate | None
@@ -89,8 +92,8 @@ def build_bound_report(
     xs: Sequence[float],
     seed: int = 0,
     mc_samples: int = 200_000,
-    exhaustive_cap: int = 20,
-    dp_cap: int = 100_000,
+    exhaustive_cap: int = _EXHAUSTIVE_CAP,
+    dp_cap: int = _DP_CAP,
     exact_required: bool = False,
 ) -> BoundReport:
     """Assemble a report for the given thresholds.
@@ -172,49 +175,18 @@ def build_bound_report(
 
 def report_to_json(report: BoundReport) -> str:
     """Serialize with shortest round-trip float representations."""
-    payload = {
-        "metadata": report.metadata,
-        "rows": [
-            {
-                "x": r.x,
-                "exact_tail": r.exact_tail,
-                "mc": None
-                if r.mc is None
-                else {
-                    "point": r.mc.point,
-                    "ci_low": r.mc.ci_low,
-                    "ci_high": r.mc.ci_high,
-                    "n_samples": r.mc.n_samples,
-                    "seed": r.mc.seed,
-                },
-                "subgaussian_bound": r.subgaussian_bound,
-                "hoeffding_bound": r.hoeffding_bound,
-            }
-            for r in report.rows
-        ],
-    }
-    return json.dumps(payload, indent=2)
+    rows = [asdict(r) for r in report.rows]
+    return json.dumps({"metadata": report.metadata, "rows": rows}, indent=2)
 
 
 def report_from_json(text: str) -> BoundReport:
-    """Rebuild a report; float fields round-trip bit-exactly."""
+    """Rebuild a report; float fields round-trip bit-exactly.
+
+    A row with a missing or unknown key raises TypeError.
+    """
     payload = json.loads(text)
     rows = tuple(
-        BoundRow(
-            x=row["x"],
-            exact_tail=row["exact_tail"],
-            mc=None
-            if row["mc"] is None
-            else McEstimate(
-                point=row["mc"]["point"],
-                ci_low=row["mc"]["ci_low"],
-                ci_high=row["mc"]["ci_high"],
-                n_samples=row["mc"]["n_samples"],
-                seed=row["mc"]["seed"],
-            ),
-            subgaussian_bound=row["subgaussian_bound"],
-            hoeffding_bound=row["hoeffding_bound"],
-        )
+        BoundRow(**{**row, "mc": row["mc"] and McEstimate(**row["mc"])})
         for row in payload["rows"]
     )
     return BoundReport(rows, payload["metadata"])

@@ -46,6 +46,7 @@ DEFAULT_DOMINATION_SEED = 20260818
 class SweepResult(object):
     """Outcome of one verification sweep."""
 
+    # Field order is the key order of `subgauss verify --format json`.
     suite: str
     passed: bool
     worst: float

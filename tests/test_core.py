@@ -425,3 +425,22 @@ class TestNormObject:
     def test_rejects_untyped_method(self):
         with pytest.raises(DomainError):
             SubgaussianNorm(1.0, "closed_form")
+
+
+class TestTinyP:
+    """Q and t* for p far below any series or cancellation threshold.
+
+    At these p, 1 - 2p rounds to 1, so a closed form built on
+    atanh(1 - 2p) would give Q = 0; the log1p/log form must serve them.
+    """
+
+    @pytest.mark.parametrize("p", [1e-20, 2.0 ** -60, 1e-300, 5e-324])
+    def test_within_one_ulp_of_50_digit_reference(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            m = mpmath.mpf(p)
+            log_odds = mpmath.log((1 - m) / m)
+            q_ref = float(mpmath.sqrt((1 - 2 * m) / (4 * log_odds)))
+            lam_ref = float(2 * log_odds)
+        assert abs(q_norm(p).value - q_ref) <= math.ulp(q_ref)
+        assert abs(lambda_star(p) - lam_ref) <= math.ulp(lam_ref)

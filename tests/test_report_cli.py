@@ -5,6 +5,7 @@ selection, stdout/stderr separation, and thread-count independence are
 all part of the public contract.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -17,16 +18,21 @@ import pytest
 
 import subgauss.report as report_module
 from subgauss import (
+    BoundReport,
     BoundRow,
     CapExceededError,
     DomainError,
+    McEstimate,
+    SUITES,
     WeightedIndicatorSum,
     build_bound_report,
     monte_carlo_tail,
     report_from_json,
     report_to_csv,
     report_to_json,
+    run_suite,
 )
+from subgauss.cli import main as cli_main
 
 
 def run_cli(*args, env_extra=None, timeout=120):
@@ -395,3 +401,160 @@ class TestCliMisc:
         with open(pyproject, "rb") as fh:
             meta = tomllib.load(fh)
         assert meta["project"]["scripts"] == {"subgauss": "subgauss.cli:main"}
+
+
+# Test-local copies of the hand-written mappings the serializers used before
+# the wire format was read off the dataclass fields.  The new code must keep
+# every byte of them.
+def _legacy_report_to_json(report):
+    payload = {
+        "metadata": report.metadata,
+        "rows": [
+            {
+                "x": r.x,
+                "exact_tail": r.exact_tail,
+                "mc": None
+                if r.mc is None
+                else {
+                    "point": r.mc.point,
+                    "ci_low": r.mc.ci_low,
+                    "ci_high": r.mc.ci_high,
+                    "n_samples": r.mc.n_samples,
+                    "seed": r.mc.seed,
+                },
+                "subgaussian_bound": r.subgaussian_bound,
+                "hoeffding_bound": r.hoeffding_bound,
+            }
+            for r in report.rows
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
+def _legacy_report_from_json(text):
+    payload = json.loads(text)
+    rows = tuple(
+        BoundRow(
+            x=row["x"],
+            exact_tail=row["exact_tail"],
+            mc=None
+            if row["mc"] is None
+            else McEstimate(
+                point=row["mc"]["point"],
+                ci_low=row["mc"]["ci_low"],
+                ci_high=row["mc"]["ci_high"],
+                n_samples=row["mc"]["n_samples"],
+                seed=row["mc"]["seed"],
+            ),
+            subgaussian_bound=row["subgaussian_bound"],
+            hoeffding_bound=row["hoeffding_bound"],
+        )
+        for row in payload["rows"]
+    )
+    return BoundReport(rows, payload["metadata"])
+
+
+def _legacy_verify_json(results):
+    return json.dumps(
+        [
+            {
+                "suite": r.suite,
+                "passed": r.passed,
+                "worst": r.worst,
+                "witness": r.witness,
+                "detail": r.detail,
+            }
+            for r in results
+        ],
+        indent=2,
+    )
+
+
+_WIRE_REPORTS = {
+    "dp": lambda: build_bound_report(
+        WeightedIndicatorSum.iid(40, 0.3), [0.0, 0.7, 3.0, 40.0]
+    ),
+    "dp-fair": lambda: build_bound_report(
+        WeightedIndicatorSum.iid(16, 0.5), [0.0, 1.0, 2.5]
+    ),
+    "exhaustive": lambda: build_bound_report(
+        WeightedIndicatorSum([2.0, -1.0, 0.5], [0.1, 0.5, 0.9]), [0.0, 0.5, 1.25]
+    ),
+    "mc": lambda: build_bound_report(
+        WeightedIndicatorSum([1.0 + 0.01 * k for k in range(25)], [0.37] * 25),
+        [0.0, 1.3, 2.9], seed=11, mc_samples=5_000,
+    ),
+    "none": lambda: build_bound_report(
+        WeightedIndicatorSum([1.0, -2.5, 0.3], [0.2, 0.5, 0.7], independent=False),
+        [0.0, 0.4, 1.0],
+    ),
+}
+
+
+class TestWireFormat:
+    @pytest.mark.parametrize("kind", sorted(_WIRE_REPORTS))
+    def test_report_json_matches_hand_written_mapping(self, kind):
+        rep = _WIRE_REPORTS[kind]()
+        assert rep.metadata["exact_method"] == kind.split("-")[0]
+        text = report_to_json(rep)
+        assert text == _legacy_report_to_json(rep)
+        back = report_from_json(text)
+        assert back == _legacy_report_from_json(text)
+        assert report_to_json(back) == text
+
+    def test_row_key_order_is_field_order(self):
+        rep = _WIRE_REPORTS["mc"]()
+        row = json.loads(report_to_json(rep))["rows"][0]
+        assert list(row) == [f.name for f in dataclasses.fields(BoundRow)]
+        assert list(row["mc"]) == [f.name for f in dataclasses.fields(McEstimate)]
+
+    def test_unknown_row_key_raises_type_error(self):
+        doc = json.loads(report_to_json(_WIRE_REPORTS["dp"]()))
+        doc["rows"][1]["extra"] = 1.0
+        with pytest.raises(TypeError):
+            report_from_json(json.dumps(doc))
+
+    def test_missing_row_key_raises_type_error(self):
+        doc = json.loads(report_to_json(_WIRE_REPORTS["dp"]()))
+        del doc["rows"][0]["hoeffding_bound"]
+        with pytest.raises(TypeError):
+            report_from_json(json.dumps(doc))
+
+    def test_unknown_mc_key_raises_type_error(self):
+        doc = json.loads(report_to_json(_WIRE_REPORTS["mc"]()))
+        doc["rows"][2]["mc"]["stderr"] = 0.0
+        with pytest.raises(TypeError):
+            report_from_json(json.dumps(doc))
+
+    def test_verify_json_matches_hand_written_mapping(self, capsys):
+        code = cli_main(["verify", "--suite", "all", "--grid", "5:7", "--format", "json"])
+        out = capsys.readouterr().out
+        ps = [(k + 1) / 6 for k in range(5)]
+        results = [
+            run_suite("kearns-saul", p_count=5, lambda_count=7),
+            run_suite("sharpness", p_values=ps),
+            run_suite("domination", n_random=5, grid_points=7),
+            run_suite("argmax", p_values=[p for p in ps if p != 0.5]),
+        ]
+        assert [r.suite for r in results] == list(SUITES)
+        assert code == 0
+        assert out == _legacy_verify_json(results) + "\n"
+
+    def test_verify_json_failing_sweep_matches(self, capsys):
+        code = cli_main(["verify", "--suite", "sharpness", "--grid", "4",
+                         "--tol", "1e-30", "--format", "json"])
+        out = capsys.readouterr().out
+        result = run_suite("sharpness", p_values=[0.2, 0.4, 0.6, 0.8], tol=1e-30)
+        assert code == 1 and not result.passed
+        assert out == _legacy_verify_json([result]) + "\n"
+
+    def test_example32_empty_grid_keeps_csv_header(self):
+        r = run_cli("example32", "--n", "16", "--x-grid", "0")
+        assert r.returncode == 0
+        assert r.stdout == "x,scaled_tail,gauss_bound,ratio\n"
+        assert "dropped" in r.stderr
+
+    def test_example32_empty_grid_json_is_empty_list(self):
+        r = run_cli("example32", "--n", "16", "--x-grid", "0", "--format", "json")
+        assert r.returncode == 0
+        assert r.stdout == "[]\n"
