@@ -29,7 +29,7 @@ import enum
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -66,40 +66,32 @@ __all__ = [
 # Largest finite log-MGF whose exponential is still representable.
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
-# Switch to the Taylor series of Q^2 inside this window around p = 1/2.
-_Q_SERIES_HALF_WIDTH = 1e-5
-
 # Switch the log-MGF to its cumulant series below this |t|; keeps the
 # relative error of t^-2 * log-MGF near machine precision as t -> 0.
 _SERIES_CUTOFF = 1e-3
 
 
-def _stable_log_odds(p: float) -> float:
-    """log((1 - p) / p) without forming the ratio.
+def _log_odds(p):
+    """log((1 - p) / p) for a float or an array of p in [0, 1].
 
-    Evaluated on the p <= 1/2 side and reflected, so the antisymmetry
-    log_odds(1 - p) = -log_odds(p) is exact whenever 1 - p is exact.
+    Evaluated on m = min(p, 1 - p) and given the sign of 1/2 - p; 1 - p is
+    exact for p > 1/2, so log_odds(1 - p) = -log_odds(p) whenever 1 - p is
+    exact.  On m >= 1/4 the value is 2 atanh(1 - 2m), whose argument is
+    exact (Sterbenz), so there is no cancellation near 1/2; below 1/4 it
+    is log1p(-m) - log(m).  +inf at p = 0 and -inf at p = 1.
     """
-    if p > 0.5:
-        return -_stable_log_odds(1.0 - p)  # 1 - p is exact here
-    if p == 0.5:
-        return 0.0
-    if p == 0.0:
-        return math.inf
-    return math.log1p(-p) - math.log(p)
+    p = np.asarray(p, dtype=float)
+    m = np.minimum(p, 1.0 - p)
+    with np.errstate(divide="ignore"):
+        lo = np.where(m >= 0.25, 2.0 * np.arctanh(1.0 - 2.0 * m), np.log1p(-m) - np.log(m))
+    return np.copysign(lo, 0.5 - p)
 
 
 @dataclass(frozen=True)
 class Probability(object):
-    """A success probability in [0, 1] with a precomputed stable log-odds.
-
-    Rejects NaN and out-of-range values at construction.  ``log_odds`` is
-    log((1 - p) / p), computed through log1p so it stays accurate near both
-    endpoints; it is +inf at p = 0 and -inf at p = 1.
-    """
+    """A success probability in [0, 1]; rejects NaN and out-of-range values."""
 
     p: float
-    log_odds: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = self.p
@@ -109,7 +101,11 @@ class Probability(object):
         if math.isnan(p) or p < 0.0 or p > 1.0:
             raise DomainError(f"probability must lie in [0, 1], got {p!r}")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "log_odds", _stable_log_odds(p))
+
+    @property
+    def log_odds(self) -> float:
+        """log((1 - p) / p); +inf at p = 0 and -inf at p = 1 (see _log_odds)."""
+        return float(_log_odds(self.p))
 
     @property
     def complement(self) -> float:
@@ -239,17 +235,12 @@ class LogMgfCurve(object):
         return float(self(lam))
 
 
-def _q_squared(p: float) -> float:
-    """Q(p)^2 on scalar libm: numpy's log/log1p round some p differently."""
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    eps = p - 0.5
-    if abs(eps) < _Q_SERIES_HALF_WIDTH:
-        e2 = eps * eps
-        # 1/(1 + (4/3) e^2 + (16/5) e^4 + ...) expanded to two corrections;
-        # truncation is below 1e-30 inside the window.
-        return 0.125 * (1.0 - e2 * (4.0 / 3.0 + e2 * (64.0 / 45.0)))
-    return (1.0 - 2.0 * p) / (4.0 * _stable_log_odds(p))
+def _q_squared(p):
+    """Q(p)^2 for a float or an array of p in [0, 1]; 0 at p in {0, 1}."""
+    p = np.asarray(p, dtype=float)
+    lo4 = 4.0 * _log_odds(p)
+    # lo4 is 0 only at p = 1/2, where Q^2 takes its limit 1/8
+    return np.divide(1.0 - 2.0 * p, lo4, out=np.full_like(p, 0.125), where=lo4 != 0.0)
 
 
 def q_norm(p: ProbabilityLike) -> SubgaussianNorm:
@@ -366,7 +357,7 @@ def kearns_saul_gap(p: ProbabilityLike, lam: float) -> float:
     prob = as_probability(p)
     if not math.isfinite(lam):
         raise DomainError(f"t must be finite, got {lam!r}")
-    return _q_squared(prob.p) * lam * lam - float(log_mgf_values(prob, lam))
+    return float(_q_squared(prob.p)) * lam * lam - float(log_mgf_values(prob, lam))
 
 
 def lambda_star(p: ProbabilityLike) -> float:

@@ -215,7 +215,7 @@ def _tail_mass(
         sel = values < -x if strict else values <= -x
     else:
         raise DomainError(f"unknown side {side!r}")
-    return math.fsum(np.sort(masses[sel]).tolist())
+    return math.fsum(masses[sel].tolist())
 
 
 def exact_tail(
@@ -226,8 +226,8 @@ def exact_tail(
     upper is P(S > x), lower is P(S < -x) (the mirrored threshold, so
     max_both is exactly the quantity the subgaussian tail bound controls).
     Comparisons are strict by default; strict=False gives the weak variants
-    P(S >= x) and P(S <= -x).  Selected masses are accumulated
-    smallest-first with compensated summation.
+    P(S >= x) and P(S <= -x).  Selected masses are summed with fsum, which
+    rounds correctly, so the result does not depend on atom order.
     """
     return _tail_mass(table.support, table.masses, x, side, strict)
 

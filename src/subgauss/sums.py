@@ -148,12 +148,9 @@ class WeightedIndicatorSum(object):
         return max(self.upper_range, -self.lower_range)
 
 
-def _term_norms(s: WeightedIndicatorSum) -> list[float]:
-    """|c(j)| Q(p(j)) for every term, Q on scalar libm (see _q_squared)."""
-    return [
-        abs(c) * math.sqrt(_q_squared(p))
-        for c, p in zip(s.coeffs.tolist(), s.p_values.tolist())
-    ]
+def _term_norms(s: WeightedIndicatorSum) -> np.ndarray:
+    """|c(j)| Q(p(j)) for every term; each Q is bitwise the q_norm value."""
+    return np.abs(s.coeffs) * np.sqrt(_q_squared(s.p_values))
 
 
 def norm_bound_dependent(s: WeightedIndicatorSum) -> SumNormBound:
@@ -161,7 +158,7 @@ def norm_bound_dependent(s: WeightedIndicatorSum) -> SumNormBound:
 
     fsum accumulation makes the value independent of term order.
     """
-    return SumNormBound(math.fsum(_term_norms(s)), BoundKind.TRIANGLE_DEPENDENT)
+    return SumNormBound(math.fsum(_term_norms(s).tolist()), BoundKind.TRIANGLE_DEPENDENT)
 
 
 def norm_bound_independent(s: WeightedIndicatorSum) -> SumNormBound:
@@ -177,7 +174,8 @@ def norm_bound_independent(s: WeightedIndicatorSum) -> SumNormBound:
             "quadratic bound requires independent terms; "
             "use norm_bound_dependent for arbitrary dependence"
         )
-    value = math.fsum(v * v for v in _term_norms(s))
+    v = _term_norms(s)
+    value = math.fsum((v * v).tolist())
     return SumNormBound(math.sqrt(value), BoundKind.QUADRATIC_INDEPENDENT)
 
 

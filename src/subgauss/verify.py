@@ -24,6 +24,7 @@ from .core import (
     q_norm,
     subgaussian_norm_numeric,
 )
+from .errors import DomainError
 from .optimize import golden_section_argmax
 from .parallel import ordered_map
 from .sums import WeightedIndicatorSum, norm_bound_independent
@@ -59,7 +60,7 @@ class SweepResult(object):
 
 
 def _sign_symmetric_log_grid(count: int, lo: float, hi: float) -> np.ndarray:
-    half = max(count // 2, 1)
+    half = count // 2
     pos = np.geomspace(lo, hi, half)
     return np.concatenate((-pos[::-1], pos))
 
@@ -77,6 +78,9 @@ def kearns_saul_sweep(
     above -tol (the slack is exactly zero at t = 0 and at the extremal
     point, so tiny negative rounding residue is the expected worst case).
     """
+    if p_count < 1 or lambda_count < 2:
+        raise DomainError("kearns-saul grid needs p_count >= 1 and lambda_count >= 2, "
+                          f"got {p_count}:{lambda_count}")
     p_grid = np.linspace(0.001, 0.999, p_count)
     lams = _sign_symmetric_log_grid(lambda_count, 1e-6, lambda_max)
     lam_sq = lams * lams
@@ -111,6 +115,8 @@ def sharpness_sweep(
     """
     if p_values is None:
         p_values = [round(0.01 * k, 2) for k in range(1, 100)]
+    if len(p_values) == 0:
+        raise DomainError("sharpness p grid is empty")
 
     def error_for_p(p: float) -> float:
         ind = as_indicator(p)
@@ -141,6 +147,8 @@ def argmax_sweep(
     """
     if p_values is None:
         p_values = [round(0.01 * k, 2) for k in range(1, 100) if k != 50]
+    if len(p_values) == 0:
+        raise DomainError("argmax p grid is empty")
 
     def errs_for_p(p: float) -> tuple[float, float]:
         prob = as_probability(p)
@@ -196,6 +204,8 @@ def domination_sweep(
     threshold grid spanning [0, ess sup].  Passes on zero violations of
     exact <= exp(-x^2 / (4 B^2)) + tol.
     """
+    if grid_points < 1:
+        raise DomainError(f"domination x grid is empty (grid_points = {grid_points})")
     rng = np.random.default_rng(seed)
     worst_margin = -math.inf
     witness: dict = {}

@@ -19,6 +19,7 @@ from subgauss import (
     NumericSupConfig,
     Probability,
     SubgaussianNorm,
+    WeightedIndicatorSum,
     g_value,
     g_values,
     gls_norm,
@@ -29,13 +30,15 @@ from subgauss import (
     mgf,
     moment_abs,
     noncentered_norm,
+    norm_bound_dependent,
     norm_bound_from_tail,
     q_asymptotic,
     q_norm,
     subgaussian_norm_numeric,
     tail_bound_from_norm,
 )
-from subgauss.core import _g_series
+from subgauss.core import _g_series, _log_odds, _q_squared
+from subgauss.sums import _term_norms
 
 # 40-digit oracle references, rounded to nearest float64
 Q_01 = 0.30170171140164875
@@ -444,3 +447,84 @@ class TestTinyP:
             lam_ref = float(2 * log_odds)
         assert abs(q_norm(p).value - q_ref) <= math.ulp(q_ref)
         assert abs(lambda_star(p) - lam_ref) <= math.ulp(lam_ref)
+
+
+def _kernel_probe_ps() -> np.ndarray:
+    """Probabilities that stress each side of the log-odds kernel."""
+    rng = np.random.default_rng(20260818)
+    half_steps = 0.5 + np.arange(-200, 201) * 2.0 ** -53
+    parts = [
+        rng.uniform(0.0, 1.0, 1000),
+        rng.uniform(0.25, 0.75, 1000),
+        0.5 + rng.uniform(-1e-5, 1e-5, 500),
+        half_steps,
+        np.exp(rng.uniform(math.log(5e-324), math.log(0.5), 800)),
+        [5e-324, 2.0 ** -1074 * 3, 2.0 ** -1022],
+        1.0 - np.exp(rng.uniform(math.log(1e-16), math.log(0.5), 300)),
+    ]
+    for edge in (0.25, 0.75):
+        below, above = [edge], [edge]
+        for _ in range(20):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], 1.0))
+        parts.append(below + above)
+    ps = np.unique(np.concatenate([np.asarray(x, dtype=float) for x in parts]))
+    return ps[(ps > 0.0) & (ps < 1.0)]
+
+
+class TestKernelUlp:
+    """Q and the log-odds against 50-digit mpmath, in units of the last place.
+
+    The log-odds is read through lambda_star = 2 log((1 - p) / p), an exact
+    doubling.  The error is taken in mpmath, so the reference's own rounding
+    to float64 counts against the kernel.
+    """
+
+    Q_ULP = 2.0
+    LOG_ODDS_ULP = 2.0
+
+    def test_within_two_ulp_of_50_digit_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        ps = _kernel_probe_ps()
+        assert len(ps) >= 4000
+        worst_q = worst_l = (-1.0, None)
+        with mpmath.workdps(50):
+            for p in ps.tolist():
+                m = mpmath.mpf(p)
+                if p == 0.5:
+                    q_ref = mpmath.sqrt(mpmath.mpf(0.125))
+                    assert lambda_star(p) == 0.0
+                else:
+                    log_odds = mpmath.log((1 - m) / m)
+                    q_ref = mpmath.sqrt((1 - 2 * m) / (4 * log_odds))
+                    lam_ref = 2 * log_odds
+                    err = float(abs(lambda_star(p) - lam_ref)) / math.ulp(float(lam_ref))
+                    if err > worst_l[0]:
+                        worst_l = (err, p)
+                err = float(abs(q_norm(p).value - q_ref)) / math.ulp(float(q_ref))
+                if err > worst_q[0]:
+                    worst_q = (err, p)
+        assert worst_q[0] <= self.Q_ULP, f"Q off by {worst_q[0]:.3f} ulp at p = {worst_q[1]!r}"
+        assert worst_l[0] <= self.LOG_ODDS_ULP, (
+            f"log-odds off by {worst_l[0]:.3f} ulp at p = {worst_l[1]!r}"
+        )
+
+    def test_array_kernel_is_bitwise_scalar(self):
+        ps = _kernel_probe_ps()
+        ps = np.concatenate(([0.0, 0.5, 1.0], ps))
+        assert np.sqrt(_q_squared(ps)).tolist() == [q_norm(p).value for p in ps.tolist()]
+        assert _log_odds(ps).tolist() == [Probability(p).log_odds for p in ps.tolist()]
+
+    def test_q_norm_is_single_term_dependent_bound(self):
+        for p in _kernel_probe_ps()[::10].tolist() + [0.0, 0.5, 1.0]:
+            single = WeightedIndicatorSum([1.0], [p], independent=False)
+            assert norm_bound_dependent(single).value == q_norm(p).value, p
+
+    def test_sum_terms_are_per_term_q_norm(self):
+        rng = np.random.default_rng(7)
+        ps = rng.uniform(0.0, 1.0, 1000)
+        ps[:6] = (0.0, 1.0, 0.5, 0.25, 0.75, 1e-300)
+        cs = rng.uniform(-3.0, 3.0, 1000)
+        terms = _term_norms(WeightedIndicatorSum(cs, ps))
+        expected = [abs(c) * q_norm(p).value for c, p in zip(cs.tolist(), ps.tolist())]
+        assert terms.tolist() == expected

@@ -340,6 +340,22 @@ class TestCliVerify:
         r = run_cli("verify", "--suite", "nope")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("suite,grid", [
+        ("kearns-saul", "0"),
+        ("kearns-saul", "3:0"),
+        ("kearns-saul", "3:1"),
+        ("sharpness", "0"),
+        ("argmax", "1"),
+        ("domination", "5:0"),
+    ])
+    def test_empty_grid_is_usage_error(self, capsys, suite, grid):
+        code = cli_main(["verify", "--suite", suite, "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "grid" in captured.err
+
 
 class TestCliExample32:
     def test_default_grid_and_columns(self):

@@ -6,7 +6,7 @@ so the whole module stays fast.
 
 import pytest
 
-from subgauss import SUITES, run_suite
+from subgauss import SUITES, DomainError, run_suite
 from subgauss.verify import (
     argmax_sweep,
     domination_sweep,
@@ -51,6 +51,18 @@ def test_argmax_small():
     r = argmax_sweep(p_values=[0.05, 0.3, 0.9])
     assert r.passed
     assert set(r.witness) >= {"p", "argmax_err", "value_err"}
+
+
+@pytest.mark.parametrize("sweep,kwargs", [
+    (kearns_saul_sweep, {"p_count": 0}),
+    (kearns_saul_sweep, {"p_count": 3, "lambda_count": 1}),
+    (sharpness_sweep, {"p_values": []}),
+    (argmax_sweep, {"p_values": ()}),
+    (domination_sweep, {"n_random": 1, "dp_sizes": (), "grid_points": 0}),
+])
+def test_empty_grid_is_typed_error(sweep, kwargs):
+    with pytest.raises(DomainError, match="grid"):
+        sweep(**kwargs)
 
 
 def test_domination_small():
