@@ -9,8 +9,9 @@ example32  normalized fair-coin sum: exact tail vs the Gaussian-style bound
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error, 3 infeasible request.
-The SUBGAUSS_THREADS environment variable caps worker parallelism; output
-is deterministic regardless of its value.
+The SUBGAUSS_THREADS environment variable caps worker parallelism: worker
+processes for a multi-suite verify, threads elsewhere.  Output is
+deterministic regardless of its value.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .errors import CapExceededError, SubgaussError
 from .oracles import exact_tail, poisson_binomial_table
 from .report import _fmt, build_bound_report, report_to_csv, report_to_json
 from .sums import WeightedIndicatorSum, hoeffding_reference_tail
-from .verify import SUITES, SweepResult, run_suite
+from .parallel import process_map
+from .verify import LONGEST_FIRST, SUITES, SweepResult, run_suite
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAIL = 1
@@ -168,7 +170,32 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _verify_kwargs(args: argparse.Namespace, suite: str) -> dict:
+# The --grid counts each --suite choice reads; `all` passes N[:X] to each.
+_GRID_SHAPES = {
+    "kearns-saul": "P[:L]",
+    "sharpness": "N",
+    "domination": "N[:X]",
+    "argmax": "N",
+    "all": "N[:X]",
+}
+
+
+def _grid_counts(args: argparse.Namespace) -> list[int] | None:
+    """--grid as integer counts, rejecting any the chosen suite does not read."""
+    if args.grid is None:
+        return None
+    try:
+        counts = [int(tok) for tok in args.grid.split(":")]
+    except ValueError:
+        raise _UsageError(f"--grid must be integer counts, got {args.grid!r}") from None
+    shape = _GRID_SHAPES[args.suite]
+    if len(counts) > shape.count(":") + 1:
+        raise _UsageError(f"--grid for {args.suite} is {shape}, got {args.grid!r}")
+    return counts
+
+
+def _verify_kwargs(args: argparse.Namespace, counts: list[int] | None,
+                   suite: str) -> dict:
     kwargs: dict = {}
     if args.tol is not None:
         if suite == "argmax":
@@ -177,12 +204,7 @@ def _verify_kwargs(args: argparse.Namespace, suite: str) -> dict:
             kwargs["tol"] = args.tol
     if args.seed is not None and suite == "domination":
         kwargs["seed"] = args.seed
-    if args.grid is not None:
-        parts = args.grid.split(":")
-        try:
-            counts = [int(tok) for tok in parts]
-        except ValueError:
-            raise _UsageError(f"--grid must be integer counts, got {args.grid!r}") from None
+    if counts is not None:
         if suite == "kearns-saul":
             kwargs["p_count"] = counts[0]
             if len(counts) > 1:
@@ -200,11 +222,27 @@ def _verify_kwargs(args: argparse.Namespace, suite: str) -> dict:
     return kwargs
 
 
+def _run_job(job: tuple[str, dict]) -> SweepResult | Exception:
+    """One suite, with an error it reports returned rather than raised, so
+    the caller can raise the one a serial run in SUITES order would."""
+    name, kwargs = job
+    try:
+        return run_suite(name, **kwargs)
+    except (SubgaussError, ValueError) as exc:
+        return exc
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    results: list[SweepResult] = []
-    for name in suites:
-        results.append(run_suite(name, **_verify_kwargs(args, name)))
+    counts = _grid_counts(args)
+    # Longest first, so that no worker idles behind it at the end.
+    order = [name for name in LONGEST_FIRST if name in suites]
+    jobs = [(name, _verify_kwargs(args, counts, name)) for name in order]
+    done = dict(zip(order, process_map(_run_job, jobs)))
+    results = [done[name] for name in suites]
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
     if args.format == "json":
         _emit(json.dumps([asdict(r) for r in results], indent=2))
     else:
@@ -286,8 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--seed", type=int, default=None,
                      help="seed override (domination suite)")
     p_v.add_argument("--grid", default=None,
-                     help="grid-size override; kearns-saul P:L, domination N:X, "
-                          "sharpness/argmax N")
+                     help="grid-size override: kearns-saul P[:L] (L//2 t-points "
+                          "per sign, so 3:5 runs a 3x4 grid), domination N[:X], "
+                          "sharpness/argmax N; all passes N[:X] to each")
     add_format(p_v)
     p_v.set_defaults(fn=_cmd_verify)
 

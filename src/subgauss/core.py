@@ -288,6 +288,33 @@ def _g_series(p: float, lam: np.ndarray) -> np.ndarray:
     )
 
 
+def _log_mgf_kernel(p: ProbabilityLike, lam, over_t2: bool) -> np.ndarray:
+    """log-MGF(t), or log-MGF(t) / t^2 when over_t2, each branch only where kept.
+
+    The cumulant series serves |t| <= _SERIES_CUTOFF, log-sum-exp of the two
+    support terms the rest (NaN included); p in {0, 1} gives zeros.
+    """
+    prob = as_probability(p)
+    lam = np.asarray(lam, dtype=float)
+    pv = prob.p
+    if pv == 0.0 or pv == 1.0:
+        return np.zeros_like(lam)
+    out = np.empty_like(lam)
+    small = np.abs(lam) <= _SERIES_CUTOFF
+    ls = lam[small]
+    series = _g_series(pv, ls)
+    out[small] = series if over_t2 else ls * ls * series
+    big = ~small
+    lb = lam[big]
+    with np.errstate(invalid="ignore"):
+        direct = np.logaddexp(
+            math.log(pv) + lb * prob.complement,
+            math.log1p(-pv) - lb * pv,
+        )
+        out[big] = direct / (lb * lb) if over_t2 else direct
+    return out
+
+
 def log_mgf_values(p: ProbabilityLike, lam) -> np.ndarray:
     """Vectorized log E exp(t * X) for the centered indicator, X as above.
 
@@ -296,31 +323,12 @@ def log_mgf_values(p: ProbabilityLike, lam) -> np.ndarray:
     as t -> 0 (plain log-sum-exp only bounds the absolute error, which is
     fatal after dividing by t^2).
     """
-    prob = as_probability(p)
-    lam = np.asarray(lam, dtype=float)
-    pv = prob.p
-    if pv == 0.0 or pv == 1.0:
-        return np.zeros_like(lam)
-    small = np.abs(lam) <= _SERIES_CUTOFF
-    with np.errstate(invalid="ignore"):
-        direct = np.logaddexp(
-            math.log(pv) + lam * prob.complement,
-            math.log1p(-pv) - lam * pv,
-        )
-    return np.where(small, lam * lam * _g_series(pv, lam), direct)
+    return _log_mgf_kernel(p, lam, over_t2=False)
 
 
 def g_values(p: ProbabilityLike, lam) -> np.ndarray:
     """Vectorized g(t) = log-MGF / t^2, with the exact limit value at t = 0."""
-    prob = as_probability(p)
-    lam = np.asarray(lam, dtype=float)
-    pv = prob.p
-    if pv == 0.0 or pv == 1.0:
-        return np.zeros_like(lam)
-    small = np.abs(lam) <= _SERIES_CUTOFF
-    with np.errstate(invalid="ignore", divide="ignore"):
-        direct = log_mgf_values(prob, lam) / (lam * lam)
-    return np.where(small, _g_series(pv, lam), direct)
+    return _log_mgf_kernel(p, lam, over_t2=True)
 
 
 def log_mgf(ind: IndicatorLike, lam: float) -> float:

@@ -1,4 +1,10 @@
-"""Deterministic work distribution capped by the SUBGAUSS_THREADS env var."""
+"""Deterministic work distribution capped by the SUBGAUSS_THREADS env var.
+
+ordered_map spreads work over threads, which overlap only where numpy
+releases the GIL.  process_map spreads GIL-bound Python work over forked
+worker processes; a multi-suite `verify` uses it, so there the cap bounds
+worker processes, and inside a worker every ordered_map runs serially.
+"""
 
 from __future__ import annotations
 
@@ -40,3 +46,35 @@ def ordered_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
         return [fn(item) for item in seq]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, seq))
+
+
+def _serial_worker() -> None:
+    """Worker initializer: nested maps run serially, so the cap bounds
+    the total number of busy workers."""
+    os.environ[ENV_THREADS] = "1"
+
+
+def process_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
+    """ordered_map in forked worker processes, for work that holds the GIL.
+
+    Same contract as ordered_map: results in input order, identical for
+    every cap.  Items start in input order.  fn, the items and the results
+    must pickle.  Runs serially for one item, a cap of 1, or a platform
+    without fork.
+    """
+    seq: Sequence[_T] = list(items)
+    workers = min(max_threads(), len(seq)) if len(seq) > 1 else 1
+    if workers > 1:
+        # Imported here so that startup (e.g. --version) loads neither.
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        # fork, not spawn or forkserver: those re-import numpy in every worker.
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_serial_worker,
+            ) as pool:
+                return list(pool.map(fn, seq))
+    return [fn(item) for item in seq]

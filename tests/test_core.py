@@ -215,6 +215,36 @@ class TestMgf:
             )
             assert abs(float(log_mgf_values(0.3, lam)) - direct) < 5e-16
 
+    def test_vector_and_scalar_are_bitwise_own_logaddexp(self):
+        # each branch runs only where it is kept; pinned against both
+        # expressions written out and selected with np.where, on arrays and
+        # on 0-d input, NaN bit patterns included
+        rng = np.random.default_rng(6)
+        cut = 1e-3
+        seam = [cut, np.nextafter(cut, 1.0), np.nextafter(cut, 0.0)]
+        pos = np.concatenate((
+            [0.0, 1e-300, 5e-324, 1e3, math.inf], seam,
+            np.geomspace(1e-8, 1e3, 400), rng.uniform(0.0, 2e-3, 100),
+        ))
+        lam = np.concatenate((pos, -pos, [math.nan]))
+        ps = [0.0, 1.0, 5e-324, 1e-12, 0.5, 0.5 + 1e-12, 1.0 - 1e-12]
+        ps += rng.uniform(0.0, 1.0, 40).tolist()
+        for p in ps:
+            with np.errstate(all="ignore"):
+                got = log_mgf_values(p, lam)
+                scalars = [log_mgf_values(p, t) for t in lam.tolist()]
+                if p in (0.0, 1.0):
+                    ref = np.zeros_like(lam)
+                else:
+                    direct = np.logaddexp(
+                        math.log(p) + lam * (1.0 - p), math.log1p(-p) - lam * p
+                    )
+                    ref = np.where(np.abs(lam) <= cut, lam * lam * _g_series(p, lam),
+                                   direct)
+            assert got.tobytes() == ref.tobytes(), p
+            assert all(v.shape == () for v in scalars), p
+            assert np.array(scalars).tobytes() == ref.tobytes(), p
+
 
 class TestGProfile:
     def test_frozen_value(self):

@@ -356,6 +356,47 @@ class TestCliVerify:
         assert captured.err.startswith("error: ")
         assert "grid" in captured.err
 
+    @pytest.mark.parametrize("suite,grid,shape", [
+        ("sharpness", "3:999", "N"),
+        ("argmax", "4:2", "N"),
+        ("kearns-saul", "3:5:7", "P[:L]"),
+        ("domination", "5:7:1", "N[:X]"),
+        ("all", "5:7:1", "N[:X]"),
+    ])
+    def test_unused_grid_count_is_usage_error(self, capsys, suite, grid, shape):
+        code = cli_main(["verify", "--suite", suite, "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --grid for {suite} is {shape}, got {grid!r}\n"
+
+    @pytest.mark.parametrize("args", [
+        ["--format", "json"],
+        [],
+        ["--grid", "5:7"],
+        ["--grid", "5:7", "--tol", "1e-30"],
+        ["--grid", "3:0"],
+    ])
+    def test_all_suites_same_under_every_cap(self, capsys, monkeypatch, args):
+        # the suites run in forked workers at cap 2; results, the error
+        # reported and the exit code are those of the serial run
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SUBGAUSS_THREADS", threads)
+            code = cli_main(["verify", "--suite", "all", *args])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        if args[-1:] == ["1e-30"]:
+            assert code == 1 and "FAIL" in err
+        elif args[-1:] == ["3:0"]:
+            assert (code, out) == (2, "")
+            assert err == ("error: kearns-saul grid needs p_count >= 1 and "
+                           "lambda_count >= 2, got 3:0\n")
+        else:
+            assert code == 0
+            assert [line.split(":")[0] for line in err.splitlines()] == list(SUITES)
+
 
 class TestCliExample32:
     def test_default_grid_and_columns(self):
