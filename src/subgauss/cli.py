@@ -10,7 +10,8 @@ example32  normalized fair-coin sum: exact tail vs the Gaussian-style bound
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error, 3 infeasible request.
 The SUBGAUSS_THREADS environment variable caps worker parallelism: worker
-processes for a multi-suite verify, threads elsewhere.  Output is
+processes when verify has more than one task (verify.run_suites), threads
+elsewhere.  Output is
 deterministic regardless of its value.
 """
 
@@ -20,8 +21,11 @@ import argparse
 import json
 import math
 import sys
+from array import array
 from dataclasses import asdict
 from typing import Sequence
+
+import numpy as np
 
 from ._version import __version__
 from .core import gls_norm, lambda_star, q_asymptotic, q_norm
@@ -29,8 +33,7 @@ from .errors import CapExceededError, SubgaussError
 from .oracles import exact_tail, poisson_binomial_table
 from .report import _fmt, build_bound_report, report_to_csv, report_to_json
 from .sums import WeightedIndicatorSum, hoeffding_reference_tail
-from .parallel import process_map
-from .verify import LONGEST_FIRST, SUITES, SweepResult, run_suite
+from .verify import SUITES, run_suites
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAIL = 1
@@ -91,38 +94,38 @@ def _note(text: str) -> None:
 def _read_sum_spec(path: str) -> WeightedIndicatorSum:
     """Parse the sum spec file: optional 'independent:' header, 'c p' lines."""
     independent = True
-    coeffs: list[float] = []
-    probs: list[float] = []
+    coeffs = array("d")
+    probs = array("d")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if line.lower().startswith("independent:"):
+                    flag = line.split(":", 1)[1].strip().lower()
+                    if flag not in ("true", "false"):
+                        raise _UsageError(
+                            f"{path}:{lineno}: independent must be true or false, got {flag!r}"
+                        )
+                    independent = flag == "true"
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise _UsageError(
+                        f"{path}:{lineno}: expected 'coefficient probability', got {line!r}"
+                    )
+                try:
+                    coeffs.append(float(parts[0]))
+                    probs.append(float(parts[1]))
+                except ValueError:
+                    raise _UsageError(f"{path}:{lineno}: not numeric: {line!r}") from None
     except OSError as exc:
         raise _UsageError(f"cannot read sum spec {path!r}: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.lower().startswith("independent:"):
-            flag = line.split(":", 1)[1].strip().lower()
-            if flag not in ("true", "false"):
-                raise _UsageError(
-                    f"{path}:{lineno}: independent must be true or false, got {flag!r}"
-                )
-            independent = flag == "true"
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise _UsageError(
-                f"{path}:{lineno}: expected 'coefficient probability', got {line!r}"
-            )
-        try:
-            coeffs.append(float(parts[0]))
-            probs.append(float(parts[1]))
-        except ValueError:
-            raise _UsageError(f"{path}:{lineno}: not numeric: {line!r}") from None
     if not coeffs:
         raise _UsageError(f"{path}: no terms found")
-    return WeightedIndicatorSum(coeffs, probs, independent=independent)
+    return WeightedIndicatorSum(np.frombuffer(coeffs), np.frombuffer(probs),
+                                independent=independent)
 
 
 def _cmd_q(args: argparse.Namespace) -> int:
@@ -222,27 +225,10 @@ def _verify_kwargs(args: argparse.Namespace, counts: list[int] | None,
     return kwargs
 
 
-def _run_job(job: tuple[str, dict]) -> SweepResult | Exception:
-    """One suite, with an error it reports returned rather than raised, so
-    the caller can raise the one a serial run in SUITES order would."""
-    name, kwargs = job
-    try:
-        return run_suite(name, **kwargs)
-    except (SubgaussError, ValueError) as exc:
-        return exc
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     counts = _grid_counts(args)
-    # Longest first, so that no worker idles behind it at the end.
-    order = [name for name in LONGEST_FIRST if name in suites]
-    jobs = [(name, _verify_kwargs(args, counts, name)) for name in order]
-    done = dict(zip(order, process_map(_run_job, jobs)))
-    results = [done[name] for name in suites]
-    for r in results:
-        if isinstance(r, Exception):
-            raise r
+    results = run_suites({name: _verify_kwargs(args, counts, name) for name in suites})
     if args.format == "json":
         _emit(json.dumps([asdict(r) for r in results], indent=2))
     else:

@@ -122,6 +122,15 @@ def as_probability(p: ProbabilityLike) -> Probability:
     return Probability(float(p))
 
 
+def _check_probabilities(ps: np.ndarray) -> np.ndarray:
+    """ps itself if every element lies in [0, 1]; else names the first bad one."""
+    bad = ~((ps >= 0.0) & (ps <= 1.0))
+    if bad.any():
+        first = float(ps.flat[np.argmax(bad)])
+        raise DomainError(f"probability must lie in [0, 1], got {first!r}")
+    return ps
+
+
 def _probability_array(probs) -> np.ndarray:
     """Read-only float64 copy of 1-d probabilities; names the first bad one."""
     if not isinstance(probs, np.ndarray):
@@ -129,10 +138,7 @@ def _probability_array(probs) -> np.ndarray:
     ps = np.array(probs, dtype=float)
     if ps.ndim != 1:
         raise DomainError(f"probabilities must form a 1-d sequence, got shape {ps.shape}")
-    bad = ~((ps >= 0.0) & (ps <= 1.0))
-    if bad.any():
-        first = float(ps[np.argmax(bad)])
-        raise DomainError(f"probability must lie in [0, 1], got {first!r}")
+    _check_probabilities(ps)
     ps.setflags(write=False)
     return ps
 
@@ -192,15 +198,7 @@ class CenteredIndicator(object):
 
     def log_mgf_curve(self) -> "LogMgfCurve":
         """The exact log-MGF of this variable as a reusable curve object."""
-        p = self.prob.p
-        hint = 0.0
-        if 0.0 < p < 1.0:
-            hint = 4.0 * abs(2.0 * self.prob.log_odds)
-        return LogMgfCurve(
-            fn=lambda lam: log_mgf_values(p, lam),
-            variance=self.variance,
-            lambda_hint=hint,
-        )
+        return _indicator_curve(self.prob.p)
 
 
 IndicatorLike = Union[CenteredIndicator, Probability, float, int]
@@ -215,24 +213,44 @@ def as_indicator(ind: IndicatorLike) -> CenteredIndicator:
 
 @dataclass(frozen=True)
 class LogMgfCurve(object):
-    """A log moment generating function t -> log E exp(t * X) on all reals.
+    """A log moment generating function t -> log E exp(t * X) on all reals,
+    or a batch of them.
 
     ``fn`` must accept a float ndarray and return matching values; it must
     evaluate to 0 at t = 0.  ``variance`` optionally supplies the exact
     variance of X, which makes the t -> 0 limit of log-MGF / t^2 available
     to the numeric norm as an exact candidate.  ``lambda_hint`` optionally
     widens the default search window up to that |t|.
+
+    A batch of R curves has ``rows`` = R: ``fn`` maps an (R, n) array of t,
+    row r on curve r, and ``variance`` and ``lambda_hint``, when given, are
+    length-R arrays.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    variance: float | None = None
-    lambda_hint: float | None = None
+    variance: float | np.ndarray | None = None
+    lambda_hint: float | np.ndarray | None = None
+    rows: int | None = None
 
     def __call__(self, lam) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(lam, dtype=float)), dtype=float)
 
     def at(self, lam: float) -> float:
         return float(self(lam))
+
+
+def _indicator_curve(p) -> LogMgfCurve:
+    """Exact log-MGF curve of the centered indicator at a float p, or for
+    a 1-d ndarray of p the batch of them, one row per p."""
+    ps = np.asarray(p, dtype=float)
+    hint = np.where((ps > 0.0) & (ps < 1.0), 4.0 * np.abs(2.0 * _log_odds(ps)), 0.0)
+    variance = ps * (1.0 - ps)
+    if ps.ndim == 0:
+        return LogMgfCurve(fn=lambda lam: log_mgf_values(p, lam),
+                           variance=float(variance), lambda_hint=float(hint))
+    column = ps[:, None]
+    return LogMgfCurve(fn=lambda lam: log_mgf_values(column, lam),
+                       variance=variance, lambda_hint=hint, rows=len(ps))
 
 
 def _q_squared(p):
@@ -280,7 +298,7 @@ def _bernoulli_cumulants(p: float) -> tuple[float, float, float, float, float]:
     return k2, k3, k4, k5, k6
 
 
-def _g_series(p: float, lam: np.ndarray) -> np.ndarray:
+def _g_series(p, lam: np.ndarray) -> np.ndarray:
     """Cumulant series of log-MGF / t^2, accurate for |t| <= _SERIES_CUTOFF."""
     k2, k3, k4, k5, k6 = _bernoulli_cumulants(p)
     return k2 / 2.0 + lam * (
@@ -288,46 +306,78 @@ def _g_series(p: float, lam: np.ndarray) -> np.ndarray:
     )
 
 
-def _log_mgf_kernel(p: ProbabilityLike, lam, over_t2: bool) -> np.ndarray:
+def _log_mgf_kernel(p, lam, over_t2: bool) -> np.ndarray:
     """log-MGF(t), or log-MGF(t) / t^2 when over_t2, each branch only where kept.
 
-    The cumulant series serves |t| <= _SERIES_CUTOFF, log-sum-exp of the two
-    support terms the rest (NaN included); p in {0, 1} gives zeros.
+    p is a float, a Probability or an ndarray of p that broadcasts against
+    lam.  The cumulant series serves |t| <= _SERIES_CUTOFF, log-sum-exp of
+    the two support terms the rest (NaN included); p in {0, 1} gives zeros.
+    log p and log(1 - p) come from scalar libm, whose last bit numpy's
+    vector log can differ in, and every other step is one float operation
+    per element, so each element is bitwise that of its own float p.
     """
-    prob = as_probability(p)
     lam = np.asarray(lam, dtype=float)
-    pv = prob.p
-    if pv == 0.0 or pv == 1.0:
-        return np.zeros_like(lam)
-    out = np.empty_like(lam)
-    small = np.abs(lam) <= _SERIES_CUTOFF
+    if isinstance(p, np.ndarray) and p.ndim:
+        pv = _check_probabilities(np.asarray(p, dtype=float))
+        live = (pv != 0.0) & (pv != 1.0)
+        log_p, log_q = np.zeros(pv.shape), np.zeros(pv.shape)
+        log_p[live] = list(map(math.log, pv[live].tolist()))
+        log_q[live] = list(map(math.log1p, (-pv[live]).tolist()))
+        shape = np.broadcast_shapes(pv.shape, lam.shape)
+    else:
+        pv = as_probability(p).p
+        live = pv != 0.0 and pv != 1.0
+        log_p, log_q = (math.log(pv), math.log1p(-pv)) if live else (0.0, 0.0)
+        shape = lam.shape
+    out = np.zeros(shape)
+    if not np.any(live):
+        return out
+    if lam.shape != shape:
+        lam = np.broadcast_to(lam, shape)
+    within = np.abs(lam) <= _SERIES_CUTOFF
+    if isinstance(pv, float):
+        small, big = within, ~within
+    else:
+        small, big = live & within, live & ~within
+
+    def gather(x, mask):
+        # a float p broadcasts as is; an array of p is gathered with lam
+        return x if isinstance(pv, float) else np.broadcast_to(x, shape)[mask]
+
     ls = lam[small]
-    series = _g_series(pv, ls)
+    series = _g_series(gather(pv, small), ls)
     out[small] = series if over_t2 else ls * ls * series
-    big = ~small
     lb = lam[big]
+    pb = gather(pv, big)
     with np.errstate(invalid="ignore"):
         direct = np.logaddexp(
-            math.log(pv) + lb * prob.complement,
-            math.log1p(-pv) - lb * pv,
+            gather(log_p, big) + lb * (1.0 - pb),
+            gather(log_q, big) - lb * pb,
         )
         out[big] = direct / (lb * lb) if over_t2 else direct
     return out
 
 
-def log_mgf_values(p: ProbabilityLike, lam) -> np.ndarray:
+def log_mgf_values(p, lam) -> np.ndarray:
     """Vectorized log E exp(t * X) for the centered indicator, X as above.
 
     Uses log-sum-exp of the two support terms, switching to the cumulant
     series for |t| <= 1e-3 so that the result keeps full relative accuracy
     as t -> 0 (plain log-sum-exp only bounds the absolute error, which is
     fatal after dividing by t^2).
+
+    p is a float or Probability, or an ndarray of p that broadcasts against
+    t (a column of p against a row of t gives one row per p).  Every element
+    equals, bit for bit, the call with its own float p and float t.
     """
     return _log_mgf_kernel(p, lam, over_t2=False)
 
 
-def g_values(p: ProbabilityLike, lam) -> np.ndarray:
-    """Vectorized g(t) = log-MGF / t^2, with the exact limit value at t = 0."""
+def g_values(p, lam) -> np.ndarray:
+    """Vectorized g(t) = log-MGF / t^2, with the exact limit value at t = 0.
+
+    Takes p and t as log_mgf_values does, with the same bitwise contract.
+    """
     return _log_mgf_kernel(p, lam, over_t2=True)
 
 
@@ -421,54 +471,73 @@ class NumericSupConfig(object):
 def subgaussian_norm_numeric(
     curve: LogMgfCurve,
     config: NumericSupConfig | None = None,
-) -> SubgaussianNorm:
+) -> SubgaussianNorm | list[SubgaussianNorm]:
     """Numeric subgaussian norm sqrt(sup g) of an arbitrary log-MGF curve.
 
     Evaluates g = curve / t^2 on a sign-symmetric log-spaced grid, refines
-    the best cell by golden-section search, and includes the exact t -> 0
-    variance limit as a candidate when the curve declares its variance.
-    The reported value is a lower bound of the true supremum; for unimodal
-    g inside the window it matches the supremum to roughly the accuracy of
-    the curve evaluations themselves.
+    the best cell on each side by golden-section search, and includes the
+    exact t -> 0 variance limit as a candidate when the curve declares its
+    variance.  The reported value is a lower bound of the true supremum;
+    for unimodal g inside the window it matches the supremum to roughly the
+    accuracy of the curve evaluations themselves.
+
+    A batch curve (``rows`` = R) gives a list of R norms, one per row, from
+    one grid evaluation and one lockstep golden-section search over all
+    rows and both signs.  Each norm is bitwise that of its row given alone,
+    provided ``fn`` treats the elements of its argument independently.
     """
     if not isinstance(curve, LogMgfCurve):
         curve = LogMgfCurve(fn=curve)
     cfg = config or NumericSupConfig()
-    at_zero = curve.at(0.0)
-    if not abs(at_zero) <= 1e-12:
-        raise DomainError(f"log-MGF curve must vanish at t = 0, got {at_zero!r}")
+    rows = 1 if curve.rows is None else curve.rows
 
-    lam_max = cfg.lambda_max
-    if curve.lambda_hint:
-        lam_max = max(lam_max, float(curve.lambda_hint))
-    grid = np.geomspace(cfg.lambda_min, lam_max, cfg.grid_points)
+    def per_row(value) -> np.ndarray:
+        return np.broadcast_to(np.asarray(value, dtype=float), (rows,))
 
-    best = -math.inf
+    at_zero = curve(np.zeros((rows, 1))).reshape(rows)
+    bad = ~(np.abs(at_zero) <= 1e-12)
+    if bad.any():
+        raise DomainError(
+            f"log-MGF curve must vanish at t = 0, got {float(at_zero[np.argmax(bad)])!r}"
+        )
+
+    lam_max = per_row(cfg.lambda_max)
+    if curve.lambda_hint is not None:
+        hint = per_row(curve.lambda_hint)
+        lam_max = np.where(hint > lam_max, hint, lam_max)
+    grids = {v: np.geomspace(cfg.lambda_min, v, cfg.grid_points) for v in set(lam_max.tolist())}
+    grid = np.array([grids[v] for v in lam_max.tolist()])
+    # axis 1 is the sign of t: + then -
+    lams = np.stack((grid, -grid), axis=1)
+    g = curve(lams.reshape(rows, -1)).reshape(lams.shape) / (lams * lams)
+    if not np.all(np.isfinite(g)):
+        raise DomainError("log-MGF curve is not finite on the search window")
+    i = np.argmax(g, axis=2)[..., None]
+    g_best = np.take_along_axis(g, i, 2)[..., 0]
+    last = cfg.grid_points - 1
+    ends = np.concatenate((np.take_along_axis(lams, np.maximum(i - 1, 0), 2),
+                           np.take_along_axis(lams, np.minimum(i + 1, last), 2)), axis=2)
+    res = golden_section_argmax(
+        lambda t: curve(t) / (t * t), ends.min(axis=2), ends.max(axis=2),
+        tol=cfg.tol, max_iter=cfg.max_iter,
+    )
+    if not res.converged.all():
+        k = int(np.argmin(res.converged))
+        raise ConvergenceError(
+            f"norm refinement stalled at interval width {float(res.width.flat[k])!r} "
+            f"after {res.iterations} iterations"
+        )
+
+    best = per_row(-math.inf)
     if curve.variance is not None:
-        best = 0.5 * float(curve.variance)
-
-    def g_at(t: float) -> float:
-        return curve.at(t) / (t * t)
-
-    for sign in (1.0, -1.0):
-        lams = sign * grid
-        g = curve(lams) / (lams * lams)
-        if not np.all(np.isfinite(g)):
-            raise DomainError("log-MGF curve is not finite on the search window")
-        i = int(np.argmax(g))
-        best = max(best, float(g[i]))
-        lo = lams[max(i - 1, 0)]
-        hi = lams[min(i + 1, len(lams) - 1)]
-        lo, hi = min(lo, hi), max(lo, hi)
-        res = golden_section_argmax(g_at, lo, hi, tol=cfg.tol, max_iter=cfg.max_iter)
-        if not res.converged:
-            raise ConvergenceError(
-                f"norm refinement stalled at interval width {res.width!r} "
-                f"after {res.iterations} iterations"
-            )
-        best = max(best, res.value)
-
-    return SubgaussianNorm(math.sqrt(max(best, 0.0)), NormMethod.NUMERIC_SUP)
+        best = 0.5 * per_row(curve.variance)
+    # max(best, x) in the order of a one-sign-at-a-time scan
+    for sign in (0, 1):
+        for x in (g_best[:, sign], res.value[:, sign]):
+            best = np.where(x > best, x, best)
+    values = np.sqrt(np.where(0.0 > best, 0.0, best)).tolist()
+    norms = [SubgaussianNorm(v, NormMethod.NUMERIC_SUP) for v in values]
+    return norms[0] if curve.rows is None else norms
 
 
 def moment_abs(ind: IndicatorLike, s: float) -> float:
@@ -523,7 +592,7 @@ def gls_norm(
     i = int(np.argmax(vals))
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, len(ts) - 1)]
-    res = golden_section_argmax(lambda t: float(log_f(np.asarray(t))), lo, hi, tol=1e-12)
+    res = golden_section_argmax(log_f, lo, hi, tol=1e-12)
     best = max(float(vals[i]), res.value)
     if i == len(ts) - 1:
         warnings.warn(

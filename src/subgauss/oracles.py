@@ -287,6 +287,11 @@ def exhaustive_outcome_table(s: WeightedIndicatorSum, cap: int = _EXHAUSTIVE_CAP
     two oracles comparable at strict thresholds.
     """
     values, probs = _enumerate_outcomes(s, cap)
+    order = np.argsort(values)
+    support = values[order]
+    if not np.any(support[1:] == support[:-1]):
+        # every atom alone: its mass is its probability, as a merge gives
+        return DistributionTable(support, probs[order])
     support, inverse = np.unique(values, return_inverse=True)
     masses = np.bincount(inverse, weights=probs, minlength=support.size)
     return DistributionTable(support, masses)

@@ -2,8 +2,9 @@
 
 ordered_map spreads work over threads, which overlap only where numpy
 releases the GIL.  process_map spreads GIL-bound Python work over forked
-worker processes; a multi-suite `verify` uses it, so there the cap bounds
-worker processes, and inside a worker every ordered_map runs serially.
+worker processes; `verify` runs its suite tasks with it, so there the cap
+bounds worker processes, and inside a worker every ordered_map runs
+serially.
 """
 
 from __future__ import annotations

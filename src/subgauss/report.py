@@ -74,17 +74,33 @@ class BoundReport(object):
     metadata: dict
 
 
+# Values per sha256 update in _terms_digest: bounds the strings held at once.
+_DIGEST_CHUNK = 4096
+
+
 def _terms_digest(s: WeightedIndicatorSum) -> str:
-    # repr of Python floats: numpy 2 reprs np.float64 as 'np.float64(...)'
-    canon = json.dumps(
-        {
-            "coeffs": [repr(c) for c in s.coeffs.tolist()],
-            "probs": [repr(p) for p in s.p_values.tolist()],
-            "independent": s.independent,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(canon.encode()).hexdigest()
+    """sha256 of json.dumps({"coeffs": [repr(c), ...], "independent": ...,
+    "probs": [repr(p), ...]}, sort_keys=True), fed in chunks.
+
+    A float repr needs no JSON escaping, so writing '"<repr>"' gives the
+    same bytes as json.dumps.  repr of Python floats: numpy 2 reprs
+    np.float64 as 'np.float64(...)'.
+    """
+    h = hashlib.sha256()
+
+    def strings(key: str, values) -> None:
+        h.update(f'"{key}": ['.encode())
+        for k in range(0, len(values), _DIGEST_CHUNK):
+            chunk = ", ".join(f'"{v!r}"' for v in values[k:k + _DIGEST_CHUNK].tolist())
+            h.update(((", " if k else "") + chunk).encode())
+        h.update(b"]")
+
+    h.update(b"{")
+    strings("coeffs", s.coeffs)
+    h.update(f', "independent": {json.dumps(s.independent)}, '.encode())
+    strings("probs", s.p_values)
+    h.update(b"}")
+    return h.hexdigest()
 
 
 def build_bound_report(

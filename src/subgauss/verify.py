@@ -8,25 +8,28 @@ points at a concrete counterexample candidate.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
-    NumericSupConfig,
-    as_indicator,
+    _indicator_curve,
+    _q_squared,
     as_probability,
-    g_value,
+    g_values,
     lambda_star,
     log_mgf_values,
     q_norm,
     subgaussian_norm_numeric,
 )
+from .core import g_value  # noqa: F401 -- unused, but perfbench/trace_cli.py rebinds it
 from .errors import DomainError
 from .optimize import golden_section_argmax
-from .parallel import ordered_map
+from .parallel import ordered_map, process_map
 from .sums import WeightedIndicatorSum, norm_bound_independent
 from .oracles import exhaustive_outcome_table, poisson_binomial_table, tail_curve
 
@@ -38,6 +41,7 @@ __all__ = [
     "domination_sweep",
     "SUITES",
     "run_suite",
+    "run_suites",
 ]
 
 DEFAULT_DOMINATION_SEED = 20260818
@@ -85,14 +89,15 @@ def kearns_saul_sweep(
     lams = _sign_symmetric_log_grid(lambda_count, 1e-6, lambda_max)
     lam_sq = lams * lams
 
-    def worst_for_p(p: float) -> tuple[float, float]:
-        prob = as_probability(float(p))
-        q2 = q_norm(prob).value ** 2
-        gaps = q2 * lam_sq - log_mgf_values(prob, lams)
+    def worst_for_p(p_q: tuple[float, float]) -> tuple[float, float]:
+        p, q = p_q
+        gaps = q ** 2 * lam_sq - log_mgf_values(p, lams)
         i = int(np.argmin(gaps))
         return float(gaps[i]), float(lams[i])
 
-    rows = ordered_map(worst_for_p, p_grid.tolist())
+    # Q(p) over the whole grid in one call, bitwise q_norm(p).value
+    q_grid = np.sqrt(_q_squared(p_grid))
+    rows = ordered_map(worst_for_p, zip(p_grid.tolist(), q_grid.tolist()))
     worst_idx = int(np.argmin([r[0] for r in rows]))
     worst_gap, worst_lam = rows[worst_idx]
     return SweepResult(
@@ -111,19 +116,17 @@ def sharpness_sweep(
     """Check that the numeric norm reproduces the closed form Q(p).
 
     The defining supremum is attained, so the grid-plus-refinement numeric
-    value must land within tol of Q(p) on every tested p.
+    value must land within tol of Q(p) on every tested p.  All p share one
+    batched numeric supremum.
     """
     if p_values is None:
         p_values = [round(0.01 * k, 2) for k in range(1, 100)]
     if len(p_values) == 0:
         raise DomainError("sharpness p grid is empty")
 
-    def error_for_p(p: float) -> float:
-        ind = as_indicator(p)
-        numeric = subgaussian_norm_numeric(ind.log_mgf_curve())
-        return abs(numeric.value - q_norm(ind.prob).value)
-
-    errors = ordered_map(error_for_p, list(p_values))
+    probs = [as_probability(p) for p in p_values]
+    numeric = subgaussian_norm_numeric(_indicator_curve(np.array([pr.p for pr in probs])))
+    errors = [abs(n.value - q_norm(pr).value) for n, pr in zip(numeric, probs)]
     worst_idx = int(np.argmax(errors))
     return SweepResult(
         suite="sharpness",
@@ -144,25 +147,31 @@ def argmax_sweep(
 
     Also checks the exact identity g(t*) = Q(p)^2 at the closed-form
     extremal point.  p = 1/2 is excluded (t* = 0 is the limit case there).
+    All p share one batched golden-section search.
     """
     if p_values is None:
         p_values = [round(0.01 * k, 2) for k in range(1, 100) if k != 50]
     if len(p_values) == 0:
         raise DomainError("argmax p grid is empty")
 
-    def errs_for_p(p: float) -> tuple[float, float]:
-        prob = as_probability(p)
-        lam0 = lambda_star(prob)
-        val_err = abs(g_value(prob, lam0) - q_norm(prob).value ** 2)
-        lo, hi = (1e-6, lambda_max) if lam0 > 0 else (-lambda_max, -1e-6)
-        res = golden_section_argmax(
-            lambda t: g_value(prob, t), lo, hi, tol=1e-9, max_iter=300
-        )
-        return abs(res.argmax - lam0), val_err
-
-    rows = ordered_map(errs_for_p, list(p_values))
-    arg_errs = [r[0] for r in rows]
-    val_errs = [r[1] for r in rows]
+    probs, lam0 = [], []
+    for p in p_values:
+        probs.append(as_probability(p))
+        lam0.append(lambda_star(probs[-1]))
+        if lam0[-1] == 0.0:
+            raise DomainError("argmax sweep excludes p = 0.5, where t* = 0")
+    ps = np.array([pr.p for pr in probs])
+    at_lam0 = g_values(ps, np.array(lam0)).tolist()
+    val_errs = [abs(g - q_norm(pr).value ** 2) for g, pr in zip(at_lam0, probs)]
+    positive = np.array(lam0) > 0.0
+    res = golden_section_argmax(
+        lambda t: g_values(ps, t),
+        np.where(positive, 1e-6, -lambda_max),
+        np.where(positive, lambda_max, -1e-6),
+        tol=1e-9,
+        max_iter=300,
+    )
+    arg_errs = [abs(x - t) for x, t in zip(res.argmax.tolist(), lam0)]
     worst_idx = int(np.argmax(arg_errs))
     worst_val = max(val_errs)
     passed = arg_errs[worst_idx] <= tol_arg and worst_val <= tol_val
@@ -182,11 +191,87 @@ def argmax_sweep(
     )
 
 
-def _random_sum(rng: np.random.Generator, m_max: int) -> WeightedIndicatorSum:
-    m = int(rng.integers(1, m_max + 1))
-    coeffs = rng.uniform(-2.0, 2.0, size=m)
-    probs = rng.uniform(0.02, 0.98, size=m)
-    return WeightedIndicatorSum(coeffs, probs, independent=True)
+@functools.lru_cache(maxsize=1)
+def _domination_cases(seed: int, m_max: int, n_random: int,
+                      dp_sizes: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The domination sweep's sums in order, as (label, coeffs, probs, dp):
+    n_random random weighted sums, then three unit-weight sums per DP size;
+    dp picks the DP oracle over enumeration.
+
+    The last draw is kept, with read-only arrays, so the tasks one worker
+    runs draw the cases once between them.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(n_random):
+        m = int(rng.integers(1, m_max + 1))
+        coeffs = rng.uniform(-2.0, 2.0, size=m)
+        probs = rng.uniform(0.02, 0.98, size=m)
+        cases.append((f"random[{k}] m={m}", coeffs, probs, False))
+    for n in dp_sizes:
+        for label, ps in (
+            ("fair", np.full(n, 0.5)),
+            ("p=0.1", np.full(n, 0.1)),
+            ("mixed", rng.uniform(0.05, 0.95, size=n)),
+        ):
+            cases.append((f"dp n={n} {label}", np.ones(n), ps, True))
+    for _, coeffs, probs, _ in cases:
+        coeffs.setflags(write=False)
+        probs.setflags(write=False)
+    return tuple(cases)
+
+
+class _DominationPart(NamedTuple):
+    """The domination statistics of a run of consecutive cases."""
+
+    worst: float
+    witness: dict
+    violations: int
+    checked: int
+
+
+def _check_domination(start: int, stop: int | None, n_random: int, seed: int,
+                      m_max: int, grid_points: int, dp_sizes: Sequence[int],
+                      tol: float) -> _DominationPart:
+    """Check cases [start, stop) of domination_sweep (stop None: to the end)."""
+    if grid_points < 1:
+        raise DomainError(f"domination x grid is empty (grid_points = {grid_points})")
+    cases = _domination_cases(seed, m_max, n_random, tuple(dp_sizes))
+    worst, witness, violations, checked = -math.inf, {}, 0, 0
+    for label, coeffs, probs, dp in cases[start:stop]:
+        s = WeightedIndicatorSum(coeffs, probs, independent=True)
+        table = poisson_binomial_table(probs) if dp else exhaustive_outcome_table(s)
+        b = norm_bound_independent(s).value
+        xs = np.linspace(0.0, s.abs_range, grid_points)
+        exact = tail_curve(table, xs, side="max_both")
+        with np.errstate(divide="ignore"):
+            bound = np.where(xs == 0.0, 1.0, np.exp(-(xs * xs) / (4.0 * b * b)))
+        margins = exact - bound
+        i = int(np.argmax(margins))
+        checked += len(xs)
+        violations += int(np.count_nonzero(margins > tol))
+        if margins[i] > worst:
+            worst = float(margins[i])
+            witness = {"sum": label, "x": float(xs[i]), "bound_norm": b}
+    return _DominationPart(worst, witness, violations, checked)
+
+
+def _domination_result(parts: Sequence[_DominationPart]) -> SweepResult:
+    """Merge parts given in case order; as in one scan, the first case to
+    reach the largest margin is the witness."""
+    worst, witness = -math.inf, {}
+    for part in parts:
+        if part.worst > worst:
+            worst, witness = part.worst, part.witness
+    violations = sum(part.violations for part in parts)
+    return SweepResult(
+        suite="domination",
+        passed=violations == 0,
+        worst=worst,
+        witness=witness,
+        detail=f"{violations} violations over {sum(part.checked for part in parts)} "
+               "(sum, x) pairs",
+    )
 
 
 def domination_sweep(
@@ -204,49 +289,9 @@ def domination_sweep(
     threshold grid spanning [0, ess sup].  Passes on zero violations of
     exact <= exp(-x^2 / (4 B^2)) + tol.
     """
-    if grid_points < 1:
-        raise DomainError(f"domination x grid is empty (grid_points = {grid_points})")
-    rng = np.random.default_rng(seed)
-    worst_margin = -math.inf
-    witness: dict = {}
-    violations = 0
-    checked = 0
-
-    def check(table, s: WeightedIndicatorSum, label: str) -> None:
-        nonlocal worst_margin, witness, violations, checked
-        b = norm_bound_independent(s).value
-        xs = np.linspace(0.0, s.abs_range, grid_points)
-        exact = tail_curve(table, xs, side="max_both")
-        with np.errstate(divide="ignore"):
-            bound = np.where(xs == 0.0, 1.0, np.exp(-(xs * xs) / (4.0 * b * b)))
-        margins = exact - bound
-        i = int(np.argmax(margins))
-        checked += len(xs)
-        violations += int(np.count_nonzero(margins > tol))
-        if margins[i] > worst_margin:
-            worst_margin = float(margins[i])
-            witness = {"sum": label, "x": float(xs[i]), "bound_norm": b}
-
-    for k in range(n_random):
-        s = _random_sum(rng, m_max)
-        check(exhaustive_outcome_table(s), s, f"random[{k}] m={s.n_terms}")
-
-    for n in dp_sizes:
-        for label, ps in (
-            ("fair", np.full(n, 0.5)),
-            ("p=0.1", np.full(n, 0.1)),
-            ("mixed", rng.uniform(0.05, 0.95, size=n)),
-        ):
-            s = WeightedIndicatorSum(np.ones(n), ps, independent=True)
-            check(poisson_binomial_table(ps), s, f"dp n={n} {label}")
-
-    return SweepResult(
-        suite="domination",
-        passed=violations == 0,
-        worst=worst_margin,
-        witness=witness,
-        detail=f"{violations} violations over {checked} (sum, x) pairs",
-    )
+    return _domination_result([_check_domination(
+        0, None, n_random, seed, m_max, grid_points, dp_sizes, tol
+    )])
 
 
 SUITES = {
@@ -255,11 +300,6 @@ SUITES = {
     "domination": domination_sweep,
     "argmax": argmax_sweep,
 }
-
-# SUITES by default-grid run time, longest first; `verify --suite all`
-# starts them in this order.  Medians of 5 in-process runs, one thread,
-# 2 vCPUs: domination 0.79 s, kearns-saul 0.28, sharpness 0.23, argmax 0.14.
-LONGEST_FIRST = ("domination", "kearns-saul", "sharpness", "argmax")
 
 
 def run_suite(name: str, **kwargs) -> SweepResult:
@@ -271,3 +311,55 @@ def run_suite(name: str, **kwargs) -> SweepResult:
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
         ) from None
     return fn(**kwargs)
+
+
+# Random sums per domination task: small enough that the workers finish
+# nearly together, large enough that handing out tasks stays cheap.
+_DOMINATION_CHUNK = 50
+
+
+def _tasks(name: str, kwargs: dict) -> list[tuple[str, dict, tuple | None]]:
+    """run_suites' tasks for one suite: (name, kwargs, None) runs it whole.
+
+    The domination sweep becomes (name, all arguments, (start, stop))
+    tasks over its cases: the random sums in chunks of _DOMINATION_CHUNK,
+    then each DP sum alone.
+    """
+    if name != "domination":
+        return [(name, kwargs, None)]
+    try:
+        bound = inspect.signature(domination_sweep).bind(**kwargs)
+        bound.apply_defaults()
+        n_random = bound.arguments["n_random"]
+        n_cases = n_random + 3 * len(bound.arguments["dp_sizes"])
+        starts = [*range(0, n_random, _DOMINATION_CHUNK), *range(n_random, n_cases)] or [0]
+    except TypeError:
+        # run whole in a worker, which raises this in suite order
+        return [(name, kwargs, None)]
+    return [(name, bound.arguments, cases) for cases in zip(starts, starts[1:] + [n_cases])]
+
+
+def _run_task(task: tuple[str, dict, tuple | None]) -> SweepResult | _DominationPart:
+    name, kwargs, cases = task
+    if cases is None:
+        return run_suite(name, **kwargs)
+    return _check_domination(*cases, **kwargs)
+
+
+def run_suites(suites: Mapping[str, dict]) -> list[SweepResult]:
+    """Run named sweeps, each with its keyword overrides, in forked workers.
+
+    The domination sweep, the longest, is split into small tasks (see
+    _tasks), so that the workers finish nearly together.  Tasks
+    start in the order given (parallel.process_map, capped by
+    SUBGAUSS_THREADS) and the results come back in that order, bitwise
+    those of run_suite under every cap; the first error in that order is
+    raised, as by a serial run.
+    """
+    tasks = [task for name, kwargs in suites.items() for task in _tasks(name, kwargs)]
+    done = process_map(_run_task, tasks)
+    results = []
+    for name in suites:
+        parts = [r for (n, _, _), r in zip(tasks, done) if n == name]
+        results.append(_domination_result(parts) if name == "domination" else parts[0])
+    return results

@@ -475,6 +475,28 @@ class TestEnumeration:
         assert t.n_atoms == 3
         assert t.masses == pytest.approx([0.25, 0.5, 0.25], rel=1e-15)
 
+    @pytest.mark.parametrize("kind", ["real", "integer", "zero_mass"])
+    def test_table_is_bitwise_the_unique_bincount_merge(self, kind):
+        # the sort-only path (no ties) and the merge (ties) must both give
+        # the bits of np.unique + bincount over the outcomes in index order
+        rng = np.random.default_rng({"real": 1, "integer": 2, "zero_mass": 3}[kind])
+        for _ in range(25):
+            m = int(rng.integers(1, 13))
+            if kind == "integer":
+                coeffs = rng.integers(-3, 4, size=m).astype(float)
+            else:
+                coeffs = rng.uniform(-2.0, 2.0, size=m)
+            ps = rng.uniform(0.0, 1.0, size=m)
+            if kind == "zero_mass":
+                ps[: m // 2] = rng.choice([0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53], size=m // 2)
+            s = WeightedIndicatorSum(coeffs, ps)
+            values, probs = _enumerate_outcomes(s, 20)
+            support, inverse = np.unique(values, return_inverse=True)
+            masses = np.bincount(inverse, weights=probs, minlength=support.size)
+            t = exhaustive_outcome_table(s)
+            assert t.support.tobytes() == support.tobytes()
+            assert t.masses.tobytes() == masses.tobytes()
+
     def test_cap(self):
         with pytest.raises(CapExceededError):
             exhaustive_outcome_table(WeightedIndicatorSum.iid(21, 0.5))

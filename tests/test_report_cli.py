@@ -6,6 +6,7 @@ all part of the public contract.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import subgauss.report as report_module
@@ -32,6 +34,7 @@ from subgauss import (
     report_to_json,
     run_suite,
 )
+import subgauss.cli as cli_module
 from subgauss.cli import main as cli_main
 
 
@@ -143,6 +146,19 @@ class TestReportBuild:
             "4797eb5d70eb39a21bdf869768912c7f3bd943d0125064b5c0af5cb334aa9cc1"
         )
 
+    @pytest.mark.parametrize("independent", [True, False])
+    @pytest.mark.parametrize("n_extra", [0, 2 * report_module._DIGEST_CHUNK + 3])
+    def test_chunked_digest_is_the_json_dumps_digest(self, independent, n_extra):
+        # the canonical form the digest is defined by, hashed in one piece
+        rng = np.random.default_rng(9)
+        coeffs = [-0.0, 5e-324, 1e16, 1e-5, 0.1] + rng.normal(0.0, 1e3, n_extra).tolist()
+        probs = [-0.0, 5e-324, 1e-5, 1.0, 0.5] + rng.uniform(0.0, 1.0, n_extra).tolist()
+        s = WeightedIndicatorSum(coeffs, probs, independent=independent)
+        canon = json.dumps({"coeffs": [repr(c) for c in coeffs],
+                            "probs": [repr(p) for p in probs],
+                            "independent": independent}, sort_keys=True)
+        assert report_module._terms_digest(s) == hashlib.sha256(canon.encode()).hexdigest()
+
     def test_binomial_exact_tails_closed_form(self):
         # four fair coins: P(|S| > 0) side max is 5/16, P(|S| > 1) is 1/16
         rep = build_bound_report(WeightedIndicatorSum.iid(4, 0.5), [0.0, 1.0, 2.0])
@@ -238,6 +254,27 @@ class TestCliBound:
         r = run_cli("bound", str(spec))
         assert r.returncode == 2
         assert "bad.txt:1" in r.stderr
+
+    @pytest.mark.parametrize("text,message", [
+        ("1.0 0.5\nindependent: maybe\n", "{path}:2: independent must be true or false, got 'maybe'"),
+        ("# c p\n\n1.0 0.5 7.0\n", "{path}:3: expected 'coefficient probability', got '1.0 0.5 7.0'"),
+        ("1.0 0.5\n2.0 x # note\n", "{path}:2: not numeric: '2.0 x'"),
+        ("independent: false\n# nothing else\n", "{path}: no terms found"),
+    ])
+    def test_spec_errors_name_file_and_line(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "sum.txt"
+        spec.write_text(text)
+        assert cli_main(["bound", str(spec)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message.format(path=spec)}\n")
+
+    def test_spec_file_terms_are_float64_arrays(self, tmp_path):
+        spec = tmp_path / "sum.txt"
+        spec.write_text("independent: false\n0.25 0.1\n-3 1e-300  # tiny\n1e16 0.5\n")
+        s = cli_module._read_sum_spec(str(spec))
+        assert s.coeffs.tolist() == [0.25, -3.0, 1e16]
+        assert s.p_values.tolist() == [0.1, 1e-300, 0.5]
+        assert s.coeffs.dtype == np.float64 and not s.independent
 
     def test_missing_spec_file(self):
         r = run_cli("bound", "/nonexistent/sum.txt")
