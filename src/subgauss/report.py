@@ -15,6 +15,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ._version import __version__
 from .core import tail_bound_from_norm
 from .errors import CapExceededError, DomainError
@@ -74,32 +76,25 @@ class BoundReport(object):
     metadata: dict
 
 
-# Values per sha256 update in _terms_digest: bounds the strings held at once.
-_DIGEST_CHUNK = 4096
+TERMS_DIGEST_VERSION = 2
 
 
 def _terms_digest(s: WeightedIndicatorSum) -> str:
-    """sha256 of json.dumps({"coeffs": [repr(c), ...], "independent": ...,
-    "probs": [repr(p), ...]}, sort_keys=True), fed in chunks.
+    """sha256 of the terms' canonical bytes (digest version 2).
 
-    A float repr needs no JSON escaping, so writing '"<repr>"' gives the
-    same bytes as json.dumps.  repr of Python floats: numpy 2 reprs
-    np.float64 as 'np.float64(...)'.
+    The bytes are b"subgauss-terms-v2\\n", one byte 1 if independent else 0,
+    n_terms as 8-byte little-endian, then the n coefficients and the n
+    probabilities, each as little-endian binary64.  Binary64 is one-to-one
+    on finite floats and keeps -0.0 apart from 0.0, so two sums share the
+    bytes exactly when their terms are bitwise equal.
     """
-    h = hashlib.sha256()
-
-    def strings(key: str, values) -> None:
-        h.update(f'"{key}": ['.encode())
-        for k in range(0, len(values), _DIGEST_CHUNK):
-            chunk = ", ".join(f'"{v!r}"' for v in values[k:k + _DIGEST_CHUNK].tolist())
-            h.update(((", " if k else "") + chunk).encode())
-        h.update(b"]")
-
-    h.update(b"{")
-    strings("coeffs", s.coeffs)
-    h.update(f', "independent": {json.dumps(s.independent)}, '.encode())
-    strings("probs", s.p_values)
-    h.update(b"}")
+    coeffs = np.ascontiguousarray(s.coeffs, dtype="<f8")
+    probs = np.ascontiguousarray(s.p_values, dtype="<f8")
+    h = hashlib.sha256(b"subgauss-terms-v2\n")
+    h.update(bytes([1 if s.independent else 0]))
+    h.update(len(coeffs).to_bytes(8, "little"))
+    h.update(coeffs)
+    h.update(probs)
     return h.hexdigest()
 
 
@@ -176,6 +171,7 @@ def build_bound_report(
 
     metadata = {
         "terms_digest": _terms_digest(s),
+        "terms_digest_version": TERMS_DIGEST_VERSION,
         "n_terms": s.n_terms,
         "independent": s.independent,
         "bound_kind": bound.kind.value,

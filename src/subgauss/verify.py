@@ -29,7 +29,7 @@ from .core import (
 from .core import g_value  # noqa: F401 -- unused, but perfbench/trace_cli.py rebinds it
 from .errors import DomainError
 from .optimize import golden_section_argmax
-from .parallel import ordered_map, process_map
+from .parallel import process_map
 from .sums import WeightedIndicatorSum, norm_bound_independent
 from .oracles import exhaustive_outcome_table, poisson_binomial_table, tail_curve
 
@@ -97,7 +97,9 @@ def kearns_saul_sweep(
 
     # Q(p) over the whole grid in one call, bitwise q_norm(p).value
     q_grid = np.sqrt(_q_squared(p_grid))
-    rows = ordered_map(worst_for_p, zip(p_grid.tolist(), q_grid.tolist()))
+    # Serial: threads only contend for the GIL here (measured slower at a
+    # cap of 2 than at 1).
+    rows = list(map(worst_for_p, zip(p_grid.tolist(), q_grid.tolist())))
     worst_idx = int(np.argmin([r[0] for r in rows]))
     worst_gap, worst_lam = rows[worst_idx]
     return SweepResult(

@@ -11,9 +11,11 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,28 +138,66 @@ class TestReportBuild:
         assert a.metadata["terms_digest"] == c.metadata["terms_digest"]
 
     def test_digest_frozen(self):
-        # hashes the reprs of Python floats, never 'np.float64(...)'
         coeffs, probs = [1.0, -2.5, 0.1, 0.0], [0.2, 0.5, 1.0, 1e-300]
         assert report_module._terms_digest(WeightedIndicatorSum(coeffs, probs)) == (
-            "11844b7d466c521c7bd8ac1b3354be5f19f252d3debb766f4a6c77bb1771613a"
+            "0bcaaf65a50777118b4ff9d58384bf34d0b3aedf002672e4fbe2aabcad359e33"
         )
         dependent = WeightedIndicatorSum(coeffs, probs, independent=False)
         assert report_module._terms_digest(dependent) == (
-            "4797eb5d70eb39a21bdf869768912c7f3bd943d0125064b5c0af5cb334aa9cc1"
+            "33370feb8897f6edbface88f3c082021c63d6c03d68c8c9afe0c1c3bfbbfcba5"
         )
 
     @pytest.mark.parametrize("independent", [True, False])
-    @pytest.mark.parametrize("n_extra", [0, 2 * report_module._DIGEST_CHUNK + 3])
-    def test_chunked_digest_is_the_json_dumps_digest(self, independent, n_extra):
-        # the canonical form the digest is defined by, hashed in one piece
+    @pytest.mark.parametrize("n_extra", [0, 10_000])
+    def test_digest_is_sha256_of_packed_terms(self, independent, n_extra):
+        # the canonical bytes the digest is defined by, built with struct
         rng = np.random.default_rng(9)
-        coeffs = [-0.0, 5e-324, 1e16, 1e-5, 0.1] + rng.normal(0.0, 1e3, n_extra).tolist()
-        probs = [-0.0, 5e-324, 1e-5, 1.0, 0.5] + rng.uniform(0.0, 1.0, n_extra).tolist()
+        coeffs = [-0.0, 5e-324, 1e16, 1e-300, 0.1] + rng.normal(0.0, 1e3, n_extra).tolist()
+        probs = [-0.0, 5e-324, 1e-300, 1.0, 0.5] + rng.uniform(0.0, 1.0, n_extra).tolist()
         s = WeightedIndicatorSum(coeffs, probs, independent=independent)
-        canon = json.dumps({"coeffs": [repr(c) for c in coeffs],
-                            "probs": [repr(p) for p in probs],
-                            "independent": independent}, sort_keys=True)
-        assert report_module._terms_digest(s) == hashlib.sha256(canon.encode()).hexdigest()
+        n = len(coeffs)
+        canon = (b"subgauss-terms-v2\n" + struct.pack("<?q", independent, n)
+                 + struct.pack(f"<{n}d", *coeffs) + struct.pack(f"<{n}d", *probs))
+        assert report_module._terms_digest(s) == hashlib.sha256(canon).hexdigest()
+
+    def test_digest_separates_what_the_terms_separate(self):
+        coeffs, probs = [0.0, 1.5, -2.0], [0.25, 0.5, 0.75]
+        base = report_module._terms_digest(WeightedIndicatorSum(coeffs, probs))
+        variants = [
+            WeightedIndicatorSum([-0.0, 1.5, -2.0], probs),
+            WeightedIndicatorSum(coeffs, [-0.0, 0.5, 0.75]),
+            WeightedIndicatorSum(coeffs[::-1], probs[::-1]),
+            WeightedIndicatorSum(coeffs, probs[::-1]),
+            WeightedIndicatorSum([0.5, 0.75], [0.0, 1.0]),
+            WeightedIndicatorSum(coeffs, probs, independent=False),
+        ]
+        digests = {report_module._terms_digest(v) for v in variants}
+        assert base not in digests and len(digests) == len(variants)
+        # coefficients and probabilities swapped
+        a = WeightedIndicatorSum([0.25, 0.5], [0.5, 0.25])
+        b = WeightedIndicatorSum([0.5, 0.25], [0.25, 0.5])
+        assert report_module._terms_digest(a) != report_module._terms_digest(b)
+
+    def test_digest_ignores_array_layout(self):
+        rng = np.random.default_rng(4)
+        wide = rng.uniform(0.0, 1.0, (2, 64))
+        coeffs, probs = wide[0, ::2], wide[1, ::2]
+        assert not coeffs.flags.c_contiguous
+        want = report_module._terms_digest(
+            WeightedIndicatorSum(coeffs.copy(), probs.copy(), independent=False))
+        # a sum built from strided input, and strided or big-endian arrays
+        # handed to the digest directly
+        assert report_module._terms_digest(
+            WeightedIndicatorSum(coeffs, probs, independent=False)) == want
+        for c, p in [(coeffs, probs), (coeffs.astype(">f8"), probs.astype(">f8"))]:
+            terms = SimpleNamespace(coeffs=c, p_values=p, independent=False)
+            assert report_module._terms_digest(terms) == want
+
+    def test_report_metadata_names_the_digest_version(self):
+        rep = build_bound_report(WeightedIndicatorSum.iid(3, 0.5), [1.0])
+        keys = list(rep.metadata)
+        assert keys[:2] == ["terms_digest", "terms_digest_version"]
+        assert rep.metadata["terms_digest_version"] == 2
 
     def test_binomial_exact_tails_closed_form(self):
         # four fair coins: P(|S| > 0) side max is 5/16, P(|S| > 1) is 1/16
