@@ -14,10 +14,9 @@ processes when verify has more than one task (verify.run_suites), threads
 for the Monte Carlo blocks of bound.  Output is deterministic regardless
 of its value.
 
-bound reads a sum spec file (UTF-8, an optional byte-order mark) with two
-readers: _read_plain_spec takes plain specs in bulk, 16 KiB at a time,
-and hands anything else to _read_spec_lines, the line loop that alone
-knows comments and late headers and writes the parse error messages.
+bound reads a sum spec file (UTF-8, an optional byte-order mark) in one
+pass of 16 KiB steps: a step of plain 'c p' lines is converted in bulk,
+any other step line by line (see _read_sum_spec).
 """
 
 from __future__ import annotations
@@ -96,99 +95,69 @@ def _note(text: str) -> None:
     sys.stderr.write(text + "\n")
 
 
-# Characters read per step of the plain-spec fast path.  It bounds the
-# step's temporaries: 64 KiB steps raised the peak RSS of a 1e5-term
-# spec by about 0.4 MiB over the line loop, 16 KiB steps did not.
+# Characters read per step.  It bounds a step's temporaries: 64 KiB steps
+# raised the peak RSS of a 1e5-term spec by about 0.4 MiB over a line
+# loop, 16 KiB steps did not.
 _SPEC_CHUNK = 1 << 14
 
 
-def _read_plain_spec(fh) -> tuple[np.ndarray, np.ndarray, bool] | None:
-    """Fast path of _read_sum_spec for plain specs, else None.
-
-    A plain spec is ASCII without '#': an optional 'independent:' header as
-    its first non-blank line, then lines that are blank or hold exactly two
-    tokens.  Every token goes through float(), as in the line loop, so on
-    a plain spec both paths give the same terms bit for bit.  Anything else
-    (a later header, a bad line, a token float() rejects) returns None and
-    leaves the file, and its error message, to the line loop.
-    """
-    independent = True
-    header_allowed = True
-    coeffs = array("d")
-    probs = array("d")
-    try:
-        while text := fh.read(_SPEC_CHUNK):
-            text += fh.readline()  # end the step on a line boundary
-            if not text.isascii() or "#" in text:
-                return None
-            if header_allowed and not text.isspace():
-                header_allowed = False
-                first, _, rest = text.lstrip().partition("\n")
-                if first.lower().startswith("independent:"):
-                    flag = first.split(":", 1)[1].strip().lower()
-                    if flag not in ("true", "false"):
-                        return None
-                    independent = flag == "true"
-                    text = rest
-            if not set(map(len, map(str.split, text.split("\n")))) <= {0, 2}:
-                return None
-            tokens = text.split()
-            coeffs.extend(map(float, tokens[0::2]))
-            probs.extend(map(float, tokens[1::2]))
-    except ValueError:
-        return None
-    if not coeffs:
-        return None
-    return np.frombuffer(coeffs), np.frombuffer(probs), independent
-
-
-def _read_spec_lines(fh, path: str) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The full spec grammar, one line at a time, with its error messages."""
-    independent = True
-    coeffs = array("d")
-    probs = array("d")
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.lower().startswith("independent:"):
-            flag = line.split(":", 1)[1].strip().lower()
-            if flag not in ("true", "false"):
-                raise _UsageError(
-                    f"{path}:{lineno}: independent must be true or false, got {flag!r}"
-                )
-            independent = flag == "true"
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise _UsageError(
-                f"{path}:{lineno}: expected 'coefficient probability', got {line!r}"
-            )
-        try:
-            coeffs.append(float(parts[0]))
-            probs.append(float(parts[1]))
-        except ValueError:
-            raise _UsageError(f"{path}:{lineno}: not numeric: {line!r}") from None
-    if not coeffs:
-        raise _UsageError(f"{path}: no terms found")
-    return np.frombuffer(coeffs), np.frombuffer(probs), independent
-
-
 def _read_sum_spec(path: str) -> WeightedIndicatorSum:
-    """Parse the sum spec file: optional 'independent:' header, 'c p' lines.
+    """Parse the sum spec file: 'independent:' headers, 'c p' lines, '#' comments.
 
-    A leading UTF-8 byte-order mark is skipped.
+    A leading UTF-8 byte-order mark is skipped.  The file is read once, in
+    steps of _SPEC_CHUNK characters that end on a line boundary.  A step
+    with no '#' or ':' whose lines are blank or hold two tokens is converted
+    in bulk; any other step, or one with a token float() rejects, goes line
+    by line, which alone knows comments and headers and reports errors.
+    Both split lines on '\\n' and tokens with str.split() and convert with
+    float(), so a step gives the same terms either way.
     """
+    independent = True
+    coeffs = array("d")
+    probs = array("d")
+    lineno = 0
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            parsed = _read_plain_spec(fh)
-            if parsed is None:
-                fh.seek(0)
-                parsed = _read_spec_lines(fh, path)
+            while text := fh.read(_SPEC_CHUNK):
+                text += fh.readline()  # end the step on a line boundary
+                first, lineno = lineno + 1, lineno + text.count("\n")
+                if ("#" not in text and ":" not in text
+                        and set(map(len, map(str.split, text.split("\n")))) <= {0, 2}):
+                    tokens, n = text.split(), len(coeffs)
+                    try:
+                        coeffs.extend(map(float, tokens[0::2]))
+                        probs.extend(map(float, tokens[1::2]))
+                        continue
+                    except ValueError:
+                        del coeffs[n:], probs[n:]
+                for k, raw in enumerate(text.split("\n"), start=first):
+                    line = raw.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    if line.lower().startswith("independent:"):
+                        flag = line.split(":", 1)[1].strip().lower()
+                        if flag not in ("true", "false"):
+                            raise _UsageError(
+                                f"{path}:{k}: independent must be true or false, got {flag!r}"
+                            )
+                        independent = flag == "true"
+                        continue
+                    parts = line.split()
+                    if len(parts) != 2:
+                        raise _UsageError(
+                            f"{path}:{k}: expected 'coefficient probability', got {line!r}"
+                        )
+                    try:
+                        coeffs.append(float(parts[0]))
+                        probs.append(float(parts[1]))
+                    except ValueError:
+                        raise _UsageError(f"{path}:{k}: not numeric: {line!r}") from None
     except OSError as exc:
         raise _UsageError(f"cannot read sum spec {path!r}: {exc}") from None
-    coeffs, probs, independent = parsed
-    return WeightedIndicatorSum(coeffs, probs, independent=independent)
+    if not coeffs:
+        raise _UsageError(f"{path}: no terms found")
+    return WeightedIndicatorSum(np.frombuffer(coeffs), np.frombuffer(probs),
+                                independent=independent)
 
 
 def _cmd_q(args: argparse.Namespace) -> int:

@@ -87,6 +87,22 @@ def _log_odds(p):
     return np.copysign(lo, 0.5 - p)
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """values as float64 under the one rule for probabilities and coefficients.
+
+    Python ints and floats and numpy integer or floating scalars, or arrays
+    and sequences of them, are accepted, each as float(x).  bool, str, bytes
+    and object values raise DomainError, as do sequences numpy holds as
+    objects (mixed types, ints beyond 64 bits).  Values numpy folds into a
+    float array, such as [0.5, True], are out of the rule's reach.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        got = repr(values) if a.ndim == 0 else f"an array of dtype {a.dtype}"
+        raise DomainError(f"{what} must be a real number, got {got}")
+    return a.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class Probability(object):
     """A success probability in [0, 1]; rejects NaN and out-of-range values."""
@@ -94,9 +110,9 @@ class Probability(object):
     p: float
 
     def __post_init__(self) -> None:
-        p = self.p
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise DomainError(f"probability must be a real number, got {p!r}")
+        p = _real_array(self.p, "probability")
+        if p.ndim:
+            raise DomainError(f"probability must be a real number, got {self.p!r}")
         p = float(p)
         if math.isnan(p) or p < 0.0 or p > 1.0:
             raise DomainError(f"probability must lie in [0, 1], got {p!r}")
@@ -116,10 +132,10 @@ ProbabilityLike = Union["Probability", float, int]
 
 
 def as_probability(p: ProbabilityLike) -> Probability:
-    """Coerce a float or Probability to a Probability."""
+    """Coerce a real number (see _real_array) or Probability to a Probability."""
     if isinstance(p, Probability):
         return p
-    return Probability(float(p))
+    return Probability(p)
 
 
 def _check_probabilities(ps: np.ndarray) -> np.ndarray:
@@ -135,7 +151,7 @@ def _probability_array(probs) -> np.ndarray:
     """Read-only float64 copy of 1-d probabilities; names the first bad one."""
     if not isinstance(probs, np.ndarray):
         probs = [p.p if isinstance(p, Probability) else p for p in probs]
-    ps = np.array(probs, dtype=float)
+    ps = np.array(_real_array(probs, "probability"))
     if ps.ndim != 1:
         raise DomainError(f"probabilities must form a 1-d sequence, got shape {ps.shape}")
     _check_probabilities(ps)
@@ -318,7 +334,7 @@ def _log_mgf_kernel(p, lam, over_t2: bool) -> np.ndarray:
     """
     lam = np.asarray(lam, dtype=float)
     if isinstance(p, np.ndarray) and p.ndim:
-        pv = _check_probabilities(np.asarray(p, dtype=float))
+        pv = _check_probabilities(_real_array(p, "probability"))
         live = (pv != 0.0) & (pv != 1.0)
         log_p, log_q = np.zeros(pv.shape), np.zeros(pv.shape)
         log_p[live] = list(map(math.log, pv[live].tolist()))

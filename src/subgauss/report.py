@@ -103,15 +103,13 @@ def build_bound_report(
     xs: Sequence[float],
     seed: int = 0,
     mc_samples: int = 200_000,
-    exhaustive_cap: int = _EXHAUSTIVE_CAP,
-    dp_cap: int = _DP_CAP,
     exact_required: bool = False,
 ) -> BoundReport:
     """Assemble a report for the given thresholds.
 
     Ground-truth column selection: the DP oracle for independent
-    unit-weight sums up to dp_cap terms, the enumeration oracle for other
-    independent sums up to exhaustive_cap terms, Monte Carlo otherwise.
+    unit-weight sums up to _DP_CAP terms, the enumeration oracle for other
+    independent sums up to _EXHAUSTIVE_CAP terms, Monte Carlo otherwise.
     Dependent sums get neither (their joint law is not determined by the
     marginals), only the triangle-bound column.  With exact_required, an
     infeasible exact request raises CapExceededError instead of degrading.
@@ -123,16 +121,16 @@ def build_bound_report(
     table = None
     exact_method = "none"
     if s.independent:
-        if s.unit_coeffs and s.n_terms <= dp_cap:
-            table = poisson_binomial_table(s.p_values, cap=dp_cap)
+        if s.unit_coeffs and s.n_terms <= _DP_CAP:
+            table = poisson_binomial_table(s.p_values)
             exact_method = "dp"
-        elif s.n_terms <= exhaustive_cap:
-            table = exhaustive_outcome_table(s, cap=exhaustive_cap)
+        elif s.n_terms <= _EXHAUSTIVE_CAP:
+            table = exhaustive_outcome_table(s)
             exact_method = "exhaustive"
         elif exact_required:
             raise CapExceededError(
                 f"exact tails infeasible: m = {s.n_terms} exceeds both caps "
-                f"(exhaustive {exhaustive_cap}, unit-weight DP {dp_cap})"
+                f"(exhaustive {_EXHAUSTIVE_CAP}, unit-weight DP {_DP_CAP})"
             )
         else:
             exact_method = "mc"

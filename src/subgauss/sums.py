@@ -23,7 +23,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ProbabilityLike, _probability_array, _q_squared, tail_bound_from_norm
+from .core import ProbabilityLike, _probability_array, _q_squared, _real_array
+from .core import tail_bound_from_norm
 from .core import q_norm  # noqa: F401 -- unused, but perfbench/trace_cli.py rebinds it
 from .errors import DependenceError, DomainError
 
@@ -88,7 +89,7 @@ class WeightedIndicatorSum(object):
     ) -> None:
         if not isinstance(coeffs, np.ndarray):
             coeffs = list(coeffs)
-        cs = np.array(coeffs, dtype=float)
+        cs = np.array(_real_array(coeffs, "coefficient"))
         ps = _probability_array(probs)
         if cs.shape != ps.shape:
             raise DomainError(
@@ -122,15 +123,16 @@ class WeightedIndicatorSum(object):
         """The sum with every coefficient multiplied by t."""
         return WeightedIndicatorSum(t * self.coeffs, self.p_values, self.independent)
 
-    def _essential_terms(self, extreme) -> list[float]:
+    def _essential_terms(self, extreme) -> memoryview:
         """Per-term extreme(c (1 - p), -c p), +0.0 for a.s. zero terms.
 
         A term with p in {0, 1} is almost surely 0, so its other value,
-        of probability 0, must not move the essential range.
+        of probability 0, must not move the essential range.  fsum reads
+        the memoryview one float at a time, with no list of them.
         """
         c, p = self.coeffs, self.p_values
         live = (p > 0.0) & (p < 1.0)
-        return np.where(live, extreme(c * (1.0 - p), -c * p), 0.0).tolist()
+        return memoryview(np.where(live, extreme(c * (1.0 - p), -c * p), 0.0))
 
     @property
     def upper_range(self) -> float:
@@ -158,7 +160,7 @@ def norm_bound_dependent(s: WeightedIndicatorSum) -> SumNormBound:
 
     fsum accumulation makes the value independent of term order.
     """
-    return SumNormBound(math.fsum(_term_norms(s).tolist()), BoundKind.TRIANGLE_DEPENDENT)
+    return SumNormBound(math.fsum(memoryview(_term_norms(s))), BoundKind.TRIANGLE_DEPENDENT)
 
 
 def norm_bound_independent(s: WeightedIndicatorSum) -> SumNormBound:
@@ -175,7 +177,7 @@ def norm_bound_independent(s: WeightedIndicatorSum) -> SumNormBound:
             "use norm_bound_dependent for arbitrary dependence"
         )
     v = _term_norms(s)
-    value = math.fsum((v * v).tolist())
+    value = math.fsum(memoryview(v * v))
     return SumNormBound(math.sqrt(value), BoundKind.QUADRATIC_INDEPENDENT)
 
 

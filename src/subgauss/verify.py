@@ -46,6 +46,11 @@ __all__ = [
 
 DEFAULT_DOMINATION_SEED = 20260818
 
+# Largest |t| of the kearns-saul grid and of the argmax search brackets.
+_LAMBDA_MAX = 60.0
+# Tolerance of the argmax sweep's value check g(t*) = Q(p)^2.
+_TOL_VAL = 1e-10
+
 
 @dataclass(frozen=True)
 class SweepResult(object):
@@ -73,12 +78,11 @@ def kearns_saul_sweep(
     p_count: int = 999,
     lambda_count: int = 10_000,
     tol: float = 1e-12,
-    lambda_max: float = 60.0,
 ) -> SweepResult:
     """Check Q(p)^2 t^2 >= log-MGF(t) over a dense (p, t) grid.
 
     p runs over {0.001, ..., 0.999}; t over a sign-symmetric log grid in
-    [-lambda_max, lambda_max].  Passes when the smallest observed gap stays
+    [-_LAMBDA_MAX, _LAMBDA_MAX].  Passes when the smallest observed gap stays
     above -tol (the slack is exactly zero at t = 0 and at the extremal
     point, so tiny negative rounding residue is the expected worst case).
     """
@@ -86,7 +90,7 @@ def kearns_saul_sweep(
         raise DomainError("kearns-saul grid needs p_count >= 1 and lambda_count >= 2, "
                           f"got {p_count}:{lambda_count}")
     p_grid = np.linspace(0.001, 0.999, p_count)
-    lams = _sign_symmetric_log_grid(lambda_count, 1e-6, lambda_max)
+    lams = _sign_symmetric_log_grid(lambda_count, 1e-6, _LAMBDA_MAX)
     lam_sq = lams * lams
 
     def worst_for_p(p_q: tuple[float, float]) -> tuple[float, float]:
@@ -142,8 +146,6 @@ def sharpness_sweep(
 def argmax_sweep(
     p_values: Sequence[float] | None = None,
     tol_arg: float = 1e-6,
-    tol_val: float = 1e-10,
-    lambda_max: float = 60.0,
 ) -> SweepResult:
     """Check the extremal point: argmax of g sits at 2 log((1-p)/p).
 
@@ -168,15 +170,15 @@ def argmax_sweep(
     positive = np.array(lam0) > 0.0
     res = golden_section_argmax(
         lambda t: g_values(ps, t),
-        np.where(positive, 1e-6, -lambda_max),
-        np.where(positive, lambda_max, -1e-6),
+        np.where(positive, 1e-6, -_LAMBDA_MAX),
+        np.where(positive, _LAMBDA_MAX, -1e-6),
         tol=1e-9,
         max_iter=300,
     )
     arg_errs = [abs(x - t) for x, t in zip(res.argmax.tolist(), lam0)]
     worst_idx = int(np.argmax(arg_errs))
     worst_val = max(val_errs)
-    passed = arg_errs[worst_idx] <= tol_arg and worst_val <= tol_val
+    passed = arg_errs[worst_idx] <= tol_arg and worst_val <= _TOL_VAL
     return SweepResult(
         suite="argmax",
         passed=passed,
@@ -188,7 +190,7 @@ def argmax_sweep(
         },
         detail=(
             f"max |argmax - t*| (tol {tol_arg:g}); "
-            f"max |g(t*) - Q^2| = {worst_val:.3g} (tol {tol_val:g})"
+            f"max |g(t*) - Q^2| = {worst_val:.3g} (tol {_TOL_VAL:g})"
         ),
     )
 

@@ -6,6 +6,8 @@ sweep and frozen here; comparisons allow a few ulp of float64 noise.
 
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,12 +34,13 @@ from subgauss import (
     noncentered_norm,
     norm_bound_dependent,
     norm_bound_from_tail,
+    poisson_binomial_table,
     q_asymptotic,
     q_norm,
     subgaussian_norm_numeric,
     tail_bound_from_norm,
 )
-from subgauss.core import _g_series, _log_odds, _q_squared
+from subgauss.core import _g_series, _log_odds, _q_squared, as_probability
 from subgauss.sums import _term_norms
 
 # 40-digit oracle references, rounded to nearest float64
@@ -95,6 +98,55 @@ class TestProbability:
 
     def test_complement(self):
         assert Probability(0.3).complement == 0.7
+
+
+def _float_bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestRealRule:
+    """One rule for what a probability or a coefficient is, at every entry point."""
+
+    SCALAR_ENTRIES = {
+        "Probability": lambda v: Probability(v).p,
+        "as_probability": lambda v: as_probability(v).p,
+        "q_norm": lambda v: q_norm(v).value,
+        "log_mgf_values": lambda v: log_mgf_values(v, 1.0),
+    }
+    ARRAY_ENTRIES = {
+        "sum probabilities": lambda v: WeightedIndicatorSum([1.0] * len(v), v).p_values,
+        "sum coefficients": lambda v: WeightedIndicatorSum(v, [0.5] * len(v)).coeffs,
+        "dp": lambda v: poisson_binomial_table(v).masses,
+        "kernel array p": lambda v: log_mgf_values(np.asarray(v), 1.0),
+    }
+    ACCEPTED_SCALARS = [0, 1, 0.25, np.int64(1), np.uint8(0), np.float32(0.5),
+                        np.float64(0.25), np.float16(0.5), np.array(0.5)]
+    REJECTED_SCALARS = ["0.5", b"0.5", True, False, np.bool_(True), None, 0.5j,
+                        Fraction(1, 2), Decimal("0.5"), 2 ** 70, [0.5]]
+    ACCEPTED_ARRAYS = [[0.5], [1, 0], (0.25, 0.5), np.array([0.5], np.float32),
+                       np.array([1, 0], np.int64), np.array([0.25], np.longdouble),
+                       # numpy folds these into a float array, out of the rule's reach
+                       [0.5, True]]
+    REJECTED_ARRAYS = [["0.5"], [b"0.5"], [True], [True, False], np.array([0.5], object),
+                       [0.5, None], ["0.5", 0.5], [0.5j], [2 ** 70]]
+
+    @pytest.mark.parametrize("entry", SCALAR_ENTRIES)
+    def test_scalars(self, entry):
+        fn = self.SCALAR_ENTRIES[entry]
+        for v in self.ACCEPTED_SCALARS:
+            assert _float_bits(fn(v)) == _float_bits(fn(float(v)))
+        for v in self.REJECTED_SCALARS:
+            with pytest.raises(DomainError, match="must be a real number"):
+                fn(v)
+
+    @pytest.mark.parametrize("entry", ARRAY_ENTRIES)
+    def test_arrays(self, entry):
+        fn = self.ARRAY_ENTRIES[entry]
+        for v in self.ACCEPTED_ARRAYS:
+            assert _float_bits(fn(v)) == _float_bits(fn([float(x) for x in v]))
+        for v in self.REJECTED_ARRAYS:
+            with pytest.raises(DomainError, match="must be a real number"):
+                fn(v)
 
 
 class TestCenteredIndicator:

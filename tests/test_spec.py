@@ -1,11 +1,14 @@
-"""The sum spec reader: the plain-spec fast path against the line loop.
+"""The sum spec reader against a reference line loop.
 
-On every input the fast path either returns exactly what the line loop
-returns (bitwise arrays, same independence flag) or hands the file over to
-the loop, which alone knows the full grammar and writes the error messages.
+_read_sum_spec reads a spec once, in steps of _SPEC_CHUNK characters, and
+takes each step in bulk or hands it to its line-by-line body.  On every
+input it must give what _reference, a plain line loop over the whole
+file, gives: bitwise the same arrays and independence flag, or the same
+_UsageError text.
 """
 
-import io
+from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,32 +18,81 @@ from hypothesis import strategies as st
 import subgauss.cli as cli_module
 
 BOM = "\ufeff"
+CHUNK = cli_module._SPEC_CHUNK
 
 
-def _handle(text: str) -> io.TextIOWrapper:
-    # the same decoding and newline translation as the reader's open()
-    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8-sig")
-
-
-def _bits(parsed):
-    coeffs, probs, independent = parsed
+def _reference(path: str) -> tuple[bytes, bytes, bool]:
+    """The spec grammar, one line of the file at a time, with its messages."""
+    independent = True
+    coeffs = array("d")
+    probs = array("d")
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.lower().startswith("independent:"):
+                flag = line.split(":", 1)[1].strip().lower()
+                if flag not in ("true", "false"):
+                    raise cli_module._UsageError(
+                        f"{path}:{lineno}: independent must be true or false, got {flag!r}"
+                    )
+                independent = flag == "true"
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise cli_module._UsageError(
+                    f"{path}:{lineno}: expected 'coefficient probability', got {line!r}"
+                )
+            try:
+                coeffs.append(float(parts[0]))
+                probs.append(float(parts[1]))
+            except ValueError:
+                raise cli_module._UsageError(f"{path}:{lineno}: not numeric: {line!r}") from None
+    if not coeffs:
+        raise cli_module._UsageError(f"{path}: no terms found")
     return coeffs.tobytes(), probs.tobytes(), independent
 
 
-def _both(text: str):
-    """(fast path result or None, loop result or None if it raised)."""
-    fast = cli_module._read_plain_spec(_handle(text))
+def _terms(coeffs, probs, independent):
+    # stands in for WeightedIndicatorSum, which would reject NaN or inf terms
+    return coeffs.tobytes(), probs.tobytes(), independent
+
+
+def _outcome(read, path: str):
     try:
-        loop = cli_module._read_spec_lines(_handle(text), "spec")
-    except cli_module._UsageError:
-        loop = None
-    if fast is not None:
-        assert loop is not None
-        assert _bits(fast) == _bits(loop)
-    return fast, loop
+        return read(path)
+    except cli_module._UsageError as exc:
+        return str(exc)
 
 
-# (spec text, whether the fast path takes it)
+@pytest.fixture(scope="module")
+def spec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("specs") / "sum.txt"
+
+
+def _same(path, text: str, chunk: int = CHUNK):
+    """The reader's terms or error text on text, asserted to be the reference's."""
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(cli_module, "WeightedIndicatorSum", _terms), \
+            mock.patch.object(cli_module, "_SPEC_CHUNK", chunk):
+        got = _outcome(cli_module._read_sum_spec, str(path))
+    assert got == _outcome(_reference, str(path))
+    return got
+
+
+def _steps(path, text: str) -> list[str]:
+    """text cut as the reader cuts it: CHUNK characters, then to the line end."""
+    path.write_bytes(text.encode("utf-8"))
+    steps = []
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        while step := fh.read(CHUNK):
+            steps.append(step + fh.readline())
+    return steps
+
+
+# (spec text, whether it is plain: ASCII, terms, no comment, no header after
+# the first non-blank line; every plain spec reads)
 EDGE_CASES = [
     ("1_0 0.5\n", True),
     (" inf  0.5 \n", True),
@@ -83,20 +135,19 @@ EDGE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("text,takes", EDGE_CASES)
-def test_fast_path_is_the_loop_or_hands_over(text, takes):
-    fast, _ = _both(text)
-    assert (fast is not None) == takes
+@pytest.mark.parametrize("text,plain", EDGE_CASES)
+def test_fast_path_is_the_loop_or_hands_over(spec_path, text, plain):
+    # every chunk size from one character up cuts the spec somewhere else
+    for chunk in (1, 2, 3, 5, CHUNK):
+        got = _same(spec_path, text, chunk)
+        assert isinstance(got, tuple) or not plain
 
 
-@pytest.mark.parametrize("text,takes", EDGE_CASES)
-def test_bom_is_skipped(text, takes):
-    fast, loop = _both(BOM + text)
-    assert (fast is not None) == takes
-    plain_loop = _both(text)[1]
-    assert (loop is None) == (plain_loop is None)
-    if loop is not None:
-        assert _bits(loop) == _bits(plain_loop)
+@pytest.mark.parametrize("text,plain", EDGE_CASES)
+def test_bom_is_skipped(spec_path, text, plain):
+    got = _same(spec_path, BOM + text)
+    assert isinstance(got, tuple) or not plain
+    assert got == _same(spec_path, text)
 
 
 @pytest.mark.parametrize("header", ["", "independent: false\n", "independent: true\n"])
@@ -105,7 +156,7 @@ def test_bom_spec_file_reads_like_the_plain_file(tmp_path, header):
     plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
     plain.write_bytes(text.encode("utf-8"))
     bom.write_bytes(BOM.encode("utf-8") + text.encode("utf-8"))
-    # with a comment the same file takes the line loop
+    # a comment sends the step line by line
     commented = tmp_path / "commented.txt"
     commented.write_bytes((BOM + "# terms\n" + text).encode("utf-8"))
     want = cli_module._read_sum_spec(str(plain))
@@ -125,6 +176,8 @@ _TOKENS = st.sampled_from([
 _SPACES = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                            "\x1f", "\xa0", " \t "])
 _ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+# small chunks put step boundaries everywhere in a short spec
+_CHUNKS = st.sampled_from([1, 2, 3, 4, 7, 16, CHUNK])
 
 
 @st.composite
@@ -151,47 +204,131 @@ def _spec_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_spec_texts())
-def test_fast_path_matches_the_loop_on_generated_specs(text):
-    _both(text)
+@given(_spec_texts(), _CHUNKS)
+def test_fast_path_matches_the_loop_on_generated_specs(spec_path, text, chunk):
+    _same(spec_path, text, chunk)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(list("0123456789.-+eEinfatrudp_:# \t\n\r\x0b\x0c\x1c")
                                 + ["inf", "nan", "independent:", "true", "\xa0",
                                    "\u0661", "\ufeff"]),
-                max_size=40).map("".join))
-def test_fast_path_matches_the_loop_on_arbitrary_text(text):
-    _both(text)
+                max_size=40).map("".join), _CHUNKS)
+def test_fast_path_matches_the_loop_on_arbitrary_text(spec_path, text, chunk):
+    _same(spec_path, text, chunk)
 
 
-def _long_spec(n: int, header: str = "independent: false\n") -> str:
+def _long_spec(n: int, header: str = "independent: false\n", end: str = "\n") -> str:
     rng = np.random.default_rng(5)
     seps = [" ", "\t", "  ", "\x0c"]
-    lines = [f"{c!r}{seps[k % 4]}{p!r}\n" for k, (c, p) in
+    lines = [f"{c!r}{seps[k % 4]}{p!r}{end}" for k, (c, p) in
              enumerate(zip(rng.uniform(-2, 2, n).tolist(), rng.uniform(0, 1, n).tolist()))]
     return header + "".join(lines)
 
 
-def test_spec_longer_than_one_chunk():
+def _lines_with(text: str, at: int, extra: str) -> str:
+    lines = text.split("\n")
+    return "\n".join(lines[:at] + [extra] + lines[at:])
+
+
+def test_spec_longer_than_one_chunk(spec_path):
     text = _long_spec(8000)
-    assert len(text) > 3 * cli_module._SPEC_CHUNK
-    fast, _ = _both(text)
-    assert fast is not None and len(fast[0]) == 8000 and not fast[2]
-    # a bad line, a comment or a header after the first two chunks hands over
-    cut = text.rindex("\n", 0, 2 * cli_module._SPEC_CHUNK) + 1
+    assert len(_steps(spec_path, text)) > 3
+    got = _same(spec_path, text)
+    assert len(got[0]) == 8 * 8000 and not got[2]
+    # a bad line, a comment or a header after the first two steps
+    cut = text.rindex("\n", 0, 2 * CHUNK) + 1
     for extra in ["1 2 3\n", "# late\n", "independent: true\n", "1 x\n"]:
-        fast, _ = _both(text[:cut] + extra + text[cut:])
-        assert fast is None
-    # a header that opens a later step is still a late header
-    step = "1" + " " * (cli_module._SPEC_CHUNK - 5) + "0.5\n"
-    assert len(step) == cli_module._SPEC_CHUNK
-    fast, loop = _both(step + "2 0.25\nindependent: false\n3 0.125\n")
-    assert fast is None and loop is not None and not loop[2]
-    # the header may follow more than a chunk of blank lines
-    blank = " \n" * cli_module._SPEC_CHUNK
-    fast, _ = _both(blank + text)
-    assert fast is not None and not fast[2]
+        _same(spec_path, text[:cut] + extra + text[cut:])
+    # a header or a comment that opens a later step
+    step = "1" + " " * (CHUNK - 5) + "0.5\n"
+    assert len(step) == CHUNK
+    for opener in ["independent: true\n", "# late\n", "independent: no\n"]:
+        text2 = step + "2 0.25\n" + opener + "3 0.125\n" + "4 0.5\n" * 5000
+        assert _steps(spec_path, text2)[1].startswith(opener)
+        _same(spec_path, text2)
+    # the header may follow more than a step of blank lines
+    blank = " \n" * CHUNK
+    got = _same(spec_path, blank + text)
+    assert isinstance(got, tuple) and not got[2]
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_cr_and_crlf_specs_longer_than_one_step(spec_path, end):
+    text = _long_spec(8000, header="independent: false" + end, end=end)
+    assert len(_steps(spec_path, text)) > 3
+    got = _same(spec_path, text)
+    assert got == _same(spec_path, text.replace(end, "\n"))
+    lines = text.split(end)
+    _same(spec_path, end.join(lines[:6000] + ["1.0 0.5 7.0"] + lines[6000:]))
+
+
+# one line for each of the three line errors, and a spec with no terms
+_FAULTS = ["independent: maybe", "1.0 0.5 7.0", "1.0 x", "# no terms"]
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_fault_in_the_first_and_in_the_last_step(spec_path, fault):
+    if fault.startswith("#"):
+        # blank lines, comments and a header over several steps, no term
+        text = ("\n" + fault + "\n   \nindependent: false\n") * (CHUNK // 8)
+        assert len(_steps(spec_path, text)) > 2
+        assert _same(spec_path, text).endswith(": no terms found")
+        return
+    text = _long_spec(8000, header="")
+    assert _same(spec_path, fault + "\n" + text).startswith(f"{spec_path}:1: ")
+    last = _lines_with(text, 7990, fault)
+    steps = _steps(spec_path, last)
+    assert len(steps) > 2 and fault in steps[-1]
+    assert _same(spec_path, last).startswith(f"{spec_path}:7991: ")
+
+
+def _recorder():
+    """An array("d") that counts its append calls, the line-by-line ones."""
+    class Recorder(array):
+        appends = 0
+
+        def append(self, x):
+            type(self).appends += 1
+            super().append(x)
+    return Recorder
+
+
+def test_plain_steps_go_in_bulk(spec_path):
+    text = _long_spec(8000, header="")
+    recorder = _recorder()
+    with mock.patch.object(cli_module, "array", recorder):
+        # no step goes line by line
+        _same(spec_path, text)
+        assert recorder.appends == 0
+        # a header sends its own step, the first, line by line
+        headed = "independent: false\n" + text
+        _same(spec_path, headed)
+        assert recorder.appends == 2 * (_steps(spec_path, headed)[0].count("\n") - 1)
+        # so does a token float() rejects, in the last step, up to that line
+        recorder.appends = 0
+        bad = _lines_with(text, 7990, "0x1 0.5")
+        assert _same(spec_path, bad).startswith(f"{spec_path}:7991: not numeric")
+        last = _steps(spec_path, bad)[-1]
+        assert recorder.appends == 2 * last.split("\n").index("0x1 0.5")
+
+
+def test_each_token_is_converted_once(spec_path):
+    # a header or comment keeps its step from a bulk pass that would fail
+    # on that line after converting the lines before it
+    text = _long_spec(8000, header="")
+    lines = text.split("\n")
+    text = "\n".join(lines[:300] + ["independent: false"] + lines[300:4000]
+                     + ["#c p"] + lines[4000:])
+    calls = []
+
+    def counted(token):
+        calls.append(token)
+        return float(token)
+
+    with mock.patch.object(cli_module, "float", counted, create=True):
+        got = _same(spec_path, text)
+    assert len(calls) == 2 * 8000 and not got[2]
 
 
 def test_late_bad_line_names_its_line(tmp_path, capsys):
@@ -207,7 +344,7 @@ def test_late_bad_line_names_its_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed", [7, 11])
-def test_bench_shaped_specs_parse_like_the_loop(seed):
+def test_bench_shaped_specs_parse_like_the_loop(spec_path, seed):
     # the spec format of the benchmark: a header, then repr floats
     rng = np.random.default_rng([seed, 3])
     n = 20_000
@@ -218,9 +355,9 @@ def test_bench_shaped_specs_parse_like_the_loop(seed):
     ]:
         lines = [f"independent: {'true' if independent else 'false'}"]
         lines += [f"{float(c)!r} {float(p)!r}" for c, p in zip(coeffs, probs)]
-        fast, _ = _both("\n".join(lines) + "\n")
-        assert fast is not None and fast[2] == independent
-        assert fast[0].tolist() == [float(c) for c in coeffs]
+        got = _same(spec_path, "\n".join(lines) + "\n")
+        assert got[2] == independent
+        assert np.frombuffer(got[0]).tolist() == [float(c) for c in coeffs]
 
 
 def test_invalid_utf8_is_still_a_usage_error(tmp_path, capsys):
