@@ -6,132 +6,21 @@ E exp(t X) <= exp(tau^2 t^2) for all t, has a closed form; this package
 computes it, the companion quantities around it (extremal point, growth-rate
 asymptotics, a moment-based norm), and certified tail bounds for weighted
 sums of such indicators, checked against exact and Monte Carlo oracles.
+
+Each module's __all__ lists its public names; the package re-exports them.
 """
 
 from ._version import __version__
-from .core import (
-    CenteredIndicator,
-    LogMgfCurve,
-    NormMethod,
-    NumericSupConfig,
-    Probability,
-    SubgaussianNorm,
-    g_value,
-    g_values,
-    gls_norm,
-    kearns_saul_gap,
-    lambda_star,
-    log_mgf,
-    log_mgf_values,
-    mgf,
-    moment_abs,
-    noncentered_norm,
-    norm_bound_from_tail,
-    q_asymptotic,
-    q_norm,
-    subgaussian_norm_numeric,
-    tail_bound_from_norm,
-)
-from .errors import (
-    CapExceededError,
-    ConvergenceError,
-    DependenceError,
-    DomainError,
-    MgfOverflowError,
-    SubgaussError,
-)
-from .optimize import GoldenSectionResult, golden_section_argmax
-from .oracles import (
-    DistributionTable,
-    McEstimate,
-    exact_sum_log_mgf,
-    exact_tail,
-    exhaustive_outcome_table,
-    exhaustive_weighted_tail,
-    monte_carlo_tail,
-    poisson_binomial_table,
-    sum_log_mgf_curve,
-    tail_curve,
-    wilson_interval,
-)
-from .report import (
-    BoundReport,
-    BoundRow,
-    build_bound_report,
-    report_from_json,
-    report_to_csv,
-    report_to_json,
-)
-from .sums import (
-    BoundKind,
-    SumNormBound,
-    WeightedIndicatorSum,
-    best_norm_bound,
-    hoeffding_reference_tail,
-    norm_bound_dependent,
-    norm_bound_independent,
-    sum_tail_bound,
-)
-from .verify import SUITES, SweepResult, run_suite, run_suites
+from . import core, errors, optimize, oracles, report, sums, verify
+from .core import *
+from .errors import *
+from .optimize import *
+from .oracles import *
+from .report import *
+from .sums import *
+from .verify import *
 
 __all__ = [
-    "__version__",
-    "BoundKind",
-    "BoundReport",
-    "BoundRow",
-    "CapExceededError",
-    "CenteredIndicator",
-    "ConvergenceError",
-    "DependenceError",
-    "DistributionTable",
-    "DomainError",
-    "GoldenSectionResult",
-    "LogMgfCurve",
-    "McEstimate",
-    "MgfOverflowError",
-    "NormMethod",
-    "NumericSupConfig",
-    "Probability",
-    "SUITES",
-    "SubgaussError",
-    "SubgaussianNorm",
-    "SumNormBound",
-    "SweepResult",
-    "WeightedIndicatorSum",
-    "best_norm_bound",
-    "build_bound_report",
-    "exact_sum_log_mgf",
-    "exact_tail",
-    "exhaustive_outcome_table",
-    "exhaustive_weighted_tail",
-    "g_value",
-    "g_values",
-    "gls_norm",
-    "golden_section_argmax",
-    "hoeffding_reference_tail",
-    "kearns_saul_gap",
-    "lambda_star",
-    "log_mgf",
-    "log_mgf_values",
-    "mgf",
-    "moment_abs",
-    "monte_carlo_tail",
-    "noncentered_norm",
-    "norm_bound_dependent",
-    "norm_bound_from_tail",
-    "norm_bound_independent",
-    "poisson_binomial_table",
-    "q_asymptotic",
-    "q_norm",
-    "report_from_json",
-    "report_to_csv",
-    "report_to_json",
-    "run_suite",
-    "run_suites",
-    "subgaussian_norm_numeric",
-    "sum_log_mgf_curve",
-    "sum_tail_bound",
-    "tail_bound_from_norm",
-    "tail_curve",
-    "wilson_interval",
+    "__version__", *core.__all__, *errors.__all__, *optimize.__all__,
+    *oracles.__all__, *report.__all__, *sums.__all__, *verify.__all__,
 ]

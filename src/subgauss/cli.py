@@ -13,10 +13,6 @@ The SUBGAUSS_THREADS environment variable caps worker parallelism: worker
 processes when verify has more than one task (verify.run_suites), threads
 for the Monte Carlo blocks of bound.  Output is deterministic regardless
 of its value.
-
-bound reads a sum spec file (UTF-8, an optional byte-order mark) in one
-pass of 16 KiB steps: a step of plain 'c p' lines is converted in bulk,
-any other step line by line (see _read_sum_spec).
 """
 
 from __future__ import annotations
@@ -104,8 +100,9 @@ _SPEC_CHUNK = 1 << 14
 def _read_sum_spec(path: str) -> WeightedIndicatorSum:
     """Parse the sum spec file: 'independent:' headers, 'c p' lines, '#' comments.
 
-    A leading UTF-8 byte-order mark is skipped.  The file is read once, in
-    steps of _SPEC_CHUNK characters that end on a line boundary.  A step
+    The file is UTF-8 (a leading byte-order mark is skipped; a byte that
+    does not decode is named by its line and file offset) and is read once,
+    in steps of _SPEC_CHUNK characters that end on a line boundary.  A step
     with no '#' or ':' whose lines are blank or hold two tokens is converted
     in bulk; any other step, or one with a token float() rejects, goes line
     by line, which alone knows comments and headers and reports errors.
@@ -154,6 +151,20 @@ def _read_sum_spec(path: str) -> WeightedIndicatorSum:
                         raise _UsageError(f"{path}:{k}: not numeric: {line!r}") from None
     except OSError as exc:
         raise _UsageError(f"cannot read sum spec {path!r}: {exc}") from None
+    except UnicodeDecodeError:
+        # The codec's position is into a decode chunk; a BOM decodes as UTF-8.
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[:exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise _UsageError(
+                f"'utf-8' codec can't decode byte 0x{data[exc.start]:02x} at "
+                f"{path}:{line} (file offset {exc.start}): {exc.reason}"
+            ) from None
+        raise
     if not coeffs:
         raise _UsageError(f"{path}: no terms found")
     return WeightedIndicatorSum(np.frombuffer(coeffs), np.frombuffer(probs),

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["SubgaussError", "DomainError", "MgfOverflowError", "ConvergenceError",
+           "DependenceError", "CapExceededError"]
+
 
 class SubgaussError(Exception):
     """Base class for all package-specific errors."""

@@ -9,6 +9,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+__all__ = ["GoldenSectionResult", "golden_section_argmax"]
+
 # 1/phi and 1/phi^2, the classic section ratios.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0

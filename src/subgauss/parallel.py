@@ -10,7 +10,6 @@ serially.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 ENV_THREADS = "SUBGAUSS_THREADS"
@@ -45,6 +44,10 @@ def ordered_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
     workers = min(max_threads(), len(seq)) if seq else 1
     if workers <= 1:
         return [fn(item) for item in seq]
+    # Imported here, as process_map imports its pool, so that startup
+    # (e.g. --version) does not load concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, seq))
 

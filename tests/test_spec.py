@@ -366,3 +366,44 @@ def test_invalid_utf8_is_still_a_usage_error(tmp_path, capsys):
     assert cli_module.main(["bound", str(spec)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("bom", [b"", BOM.encode("utf-8")])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_invalid_utf8_names_its_line_and_file_offset(tmp_path, capsys, bom, end):
+    # the codec's own position is into a decode chunk; the file offset of a
+    # byte past the third step locates it, with the BOM's 3 bytes counted
+    body = _long_spec(8000, end=end).encode("utf-8")
+    assert len(body) > 3 * CHUNK
+    data = bom + body + b"1 0.\xff5" + end.encode()
+    spec = tmp_path / "sum.txt"
+    spec.write_bytes(data)
+    assert cli_module.main(["bound", str(spec)]) == 2
+    out, err = capsys.readouterr()
+    assert data.index(b"\xff") == len(bom) + len(body) + 4
+    assert (out, err) == ("", (
+        f"error: 'utf-8' codec can't decode byte 0xff at {spec}:8002 "
+        f"(file offset {len(bom) + len(body) + 4}): invalid start byte\n"))
+
+
+@pytest.mark.parametrize("bom", [b"", BOM.encode("utf-8")])
+def test_invalid_utf8_on_the_first_line(tmp_path, capsys, bom):
+    spec = tmp_path / "sum.txt"
+    spec.write_bytes(bom + b"1 0.\xff5\n2 0.3\n")
+    assert cli_module.main(["bound", str(spec)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", (
+        f"error: 'utf-8' codec can't decode byte 0xff at {spec}:1 "
+        f"(file offset {len(bom) + 4}): invalid start byte\n"))
+
+
+def test_valid_spec_is_opened_once(spec_path):
+    opened = []
+
+    def counted(*args, **kwargs):
+        opened.append(args)
+        return open(*args, **kwargs)
+
+    with mock.patch.object(cli_module, "open", counted, create=True):
+        _same(spec_path, BOM + _long_spec(8000))
+    assert opened == [(str(spec_path), "r")]
