@@ -39,8 +39,9 @@ w = WeightedIndicatorSum([1.5, -2.0, 0.5, 1.0, -1.0], [0.1, 0.3, 0.5, 0.7, 0.9])
 print("5 weighted terms, mixed signs:")
 print(report_to_csv(build_bound_report(w, [0.0, 0.8, 1.6, 2.4])))
 
-# Monte Carlo is the fallback past both oracle caps; fixed seeds make it
-# reproducible down to the last bit
+# Monte Carlo is the fallback past both oracle caps; a fixed seed and a
+# fixed summation order make it reproducible down to the last bit, on any
+# platform
 big = WeightedIndicatorSum([1.0 + 0.01 * k for k in range(30)], [0.25] * 30)
 est = monte_carlo_tail(big, 3.0, 400_000, seed=7)
 print(f"30 weighted terms, MC tail at x=3: {est.point:.5f} "

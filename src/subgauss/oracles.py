@@ -45,14 +45,16 @@ WILSON_Z_99 = 2.5758293035489004
 
 # Samples per logical Monte Carlo block.  Fixed by contract: substreams are
 # derived per block, so estimates depend only on (seed, n_samples) and never
-# on how the blocks are batched or scheduled.
-MC_BLOCK_SIZE = 65536
+# on how the blocks are batched or scheduled.  Small enough that a default
+# 200 000-sample run is 13 blocks, which two workers share 7/6.
+MC_BLOCK_SIZE = 16384
 
-# Bytes of uniforms a worker holds at once, sized to stay in cache.  Chunk
-# rows are a multiple of _MC_CHUNK_ROW_STEP so BLAS groups rows as for the
-# whole block: unaligned tail rows take another kernel and round differently.
+# Version of the sampling definition in monte_carlo_tail; reports carry it.
+MC_STREAM_VERSION = 2
+
+# Bytes of uniforms a worker holds at once, sized to stay in cache: it
+# draws as many whole terms of its block at a time as fit, at least one.
 _MC_CHUNK_BYTES = 1 << 20
-_MC_CHUNK_ROW_STEP = 64
 
 _EXHAUSTIVE_CAP = 20
 _DP_CAP = 100_000
@@ -345,13 +347,18 @@ def monte_carlo_tail(
     threshold counted by binary search, so each estimate equals that of a
     separate call at its threshold.
 
-    Sampling runs in fixed blocks of MC_BLOCK_SIZE, each drawn from its own
-    Philox substream keyed by (seed, block index).  Philox is a counter
-    based generator whose bitstream numpy keeps stable across releases, so
-    the estimate is a pure function of (seed, n_samples) regardless of how
-    blocks are batched across workers; the same call is bit-identical every
-    time.  A worker draws its block in row chunks of at most about
-    _MC_CHUNK_BYTES, so its memory does not grow with the number of terms.
+    Sampling is stream version 2 (MC_STREAM_VERSION).  It runs in fixed
+    blocks of MC_BLOCK_SIZE samples, block b drawing from its own PCG64DXSM
+    substream seeded by SeedSequence((seed, b)); numpy keeps that bitstream
+    stable across releases.  Blocks are term-major: the uniform of term j
+    in sample i is double number j * rows + i of the block's stream, as one
+    rng.random((m, rows)) draws it.  Each sample value is 0.0 plus
+    c(j) * (u < p(j)) for j = 0, 1, ... in term order, minus the shift
+    sum c(j) p(j); no BLAS takes part, so the values, and the estimate, are
+    the same bits on every platform and for any batching of blocks across
+    workers.  A worker draws a block in chunks of whole terms, at most
+    _MC_CHUNK_BYTES of uniforms (or one term), so its memory does not grow
+    with the number of terms.
 
     For max_both the point estimate is the larger one-sided proportion and
     the interval is the Wilson interval of that side's count; the one-sided
@@ -375,22 +382,29 @@ def monte_carlo_tail(
     if curve.size == 0:
         return ()
 
-    coeffs, ps = s.coeffs, s.p_values
-    shift = math.fsum((coeffs * ps).tolist())
+    m = s.n_terms
+    coeffs, ps = s.coeffs[:, None], s.p_values[:, None]  # a row per term
+    shift = math.fsum((s.coeffs * s.p_values).tolist())
     n_blocks = (n_samples + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
-    chunk = _MC_CHUNK_BYTES // (8 * coeffs.size)
-    chunk = max(chunk - chunk % _MC_CHUNK_ROW_STEP, _MC_CHUNK_ROW_STEP)
 
     def run_block(block: int) -> tuple[np.ndarray, np.ndarray]:
         rows = min(MC_BLOCK_SIZE, n_samples - block * MC_BLOCK_SIZE)
         rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((seed, block)))
+            np.random.PCG64DXSM(np.random.SeedSequence((seed, block)))
         )
-        vals = np.empty(rows, dtype=float)
-        for start in range(0, rows, chunk):
-            u = rng.random((min(chunk, rows - start), coeffs.size))
-            np.less(u, ps, out=u)
-            vals[start:start + len(u)] = u @ coeffs - shift
+        k = min(max(1, _MC_CHUNK_BYTES // (8 * rows)), m)
+        buf = np.empty((k, rows))
+        hit = np.empty((k, rows), dtype=bool)
+        vals = np.zeros(rows)
+        for start in range(0, m, k):
+            stop = min(start + k, m)
+            u, h = buf[:stop - start], hit[:stop - start]
+            rng.random(out=u)
+            np.less(u, ps[start:stop], out=h)
+            np.multiply(h, coeffs[start:stop], out=u)
+            for term in u:  # in term order: the same bits on every platform
+                vals += term
+        vals -= shift
         vals.sort()
         up = rows - np.searchsorted(vals, curve, side="right")
         return up, np.searchsorted(vals, -curve, side="left")

@@ -23,6 +23,7 @@ from .errors import CapExceededError, DomainError
 from .oracles import (
     _DP_CAP,
     _EXHAUSTIVE_CAP,
+    MC_STREAM_VERSION,
     McEstimate,
     exact_tail,
     exhaustive_outcome_table,
@@ -177,6 +178,7 @@ def build_bound_report(
         "exact_method": exact_method,
         "seed": seed if exact_method == "mc" else None,
         "mc_samples": mc_samples if exact_method == "mc" else None,
+        "mc_stream_version": MC_STREAM_VERSION if exact_method == "mc" else None,
         "invariant_tol": EXACT_INVARIANT_TOL,
         "version": __version__,
     }

@@ -38,15 +38,16 @@ from subgauss.oracles import MC_BLOCK_SIZE, _enumerate_outcomes
 
 WILSON_UPPER_0_100 = 0.062220687715822974  # z = 2.5758293035489004
 
-# The single-shot sampler's value (each block drawn whole): 37 901 lower-tail hits.
+# The single-shot reference's value (each block drawn whole, stream v2):
+# 37 909 lower-tail hits, against 35 169 upper.
 FROZEN_MC_SUM = WeightedIndicatorSum(
     [1.0, -2.0, 0.5, 1.25, 0.75, -0.3, 1.7],
     [0.2, 0.4, 0.6, 0.8, 0.1, 0.55, 0.35],
 )
 FROZEN_MC = McEstimate(
-    point=0.25267333333333336,
-    ci_low=0.24979425906437866,
-    ci_high=0.2555742864593284,
+    point=0.25272666666666666,
+    ci_low=0.24984738819640842,
+    ci_high=0.25562781927602524,
     n_samples=150_000,
     seed=2024,
 )
@@ -205,19 +206,27 @@ def enumeration_sum(rng):
     return WeightedIndicatorSum(coeffs, probs)
 
 
-def single_shot_estimates(s, xs, n_samples, seed, side):
-    """Each block drawn whole and counted by comparison: the reference
-    that the chunked, sorted sampler must match."""
-    coeffs = np.asarray(s.coeffs)
-    ps = np.asarray(s.p_values)
+def reference_block_values(s, n_samples, seed):
+    """The sample values of each block by the stream v2 definition: the
+    block drawn whole, term-major, and its terms summed left to right."""
     shift = math.fsum(c * p for c, p in zip(s.coeffs, s.p_values))
-    up, lo = np.zeros(len(xs), dtype=int), np.zeros(len(xs), dtype=int)
     for block in range(-(-n_samples // MC_BLOCK_SIZE)):
         rows = min(MC_BLOCK_SIZE, n_samples - block * MC_BLOCK_SIZE)
         rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((seed, block)))
+            np.random.PCG64DXSM(np.random.SeedSequence((seed, block)))
         )
-        vals = (rng.random((rows, coeffs.size)) < ps) @ coeffs - shift
+        u = rng.random((s.n_terms, rows))
+        vals = np.zeros(rows)
+        for c, p, col in zip(s.coeffs.tolist(), s.p_values.tolist(), u):
+            vals += c * (col < p)
+        yield vals - shift
+
+
+def single_shot_estimates(s, xs, n_samples, seed, side):
+    """Each block drawn whole and counted by comparison: the reference
+    that the chunked, sorted sampler must match."""
+    up, lo = np.zeros(len(xs), dtype=int), np.zeros(len(xs), dtype=int)
+    for vals in reference_block_values(s, n_samples, seed):
         up += [np.count_nonzero(vals > x) for x in xs]
         lo += [np.count_nonzero(vals < -x) for x in xs]
     ks = {"upper": up, "lower": lo, "max_both": np.maximum(up, lo)}[side]
@@ -606,7 +615,7 @@ class TestMonteCarlo:
         assert monte_carlo_tail(FROZEN_MC_SUM, 1.1, 150_000, seed=2024) == FROZEN_MC
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("n_samples", [100, 65_536, 70_001, 150_000])
+    @pytest.mark.parametrize("n_samples", [100, 16_384, 16_385, 65_536, 70_001, 150_000])
     def test_curve_equals_pointwise(self, monkeypatch, n_samples, threads):
         monkeypatch.setenv("SUBGAUSS_THREADS", threads)
         rng = np.random.default_rng(n_samples)
@@ -626,6 +635,79 @@ class TestMonteCarlo:
                     monte_carlo_tail(s, x, n_samples, seed, side) for x in xs
                 )
                 assert curve == single_shot_estimates(s, xs, n_samples, seed, side)
+
+    def test_frozen_estimate_is_the_reference(self):
+        assert single_shot_estimates(
+            FROZEN_MC_SUM, [1.1], 150_000, 2024, "max_both"
+        ) == (FROZEN_MC,)
+
+    def test_reference_is_the_scalar_loop(self):
+        # the stream's doubles one at a time, term-major, summed in term
+        # order by plain float arithmetic
+        rng = np.random.default_rng(17)
+        m, rows, seed = 9, 300, 5
+        s = WeightedIndicatorSum(rng.normal(size=m), rng.uniform(0.05, 0.95, size=m))
+        coeffs, probs = s.coeffs.tolist(), s.p_values.tolist()
+        shift = math.fsum(c * p for c, p in zip(coeffs, probs))
+        stream = np.random.Generator(
+            np.random.PCG64DXSM(np.random.SeedSequence((seed, 0)))
+        )
+        u = [[stream.random() for _ in range(rows)] for _ in range(m)]
+        want = []
+        for i in range(rows):
+            acc = 0.0
+            for j in range(m):
+                acc += coeffs[j] * (u[j][i] < probs[j])
+            want.append(acc - shift)
+        (got,) = reference_block_values(s, rows, seed)
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("n_samples", [100, 16_384, 16_385, 70_001])
+    def test_thresholds_at_sample_values(self, monkeypatch, n_samples, threads):
+        # a sample equal to a strict threshold is not counted, so a value
+        # one ulp off would flip a count
+        monkeypatch.setenv("SUBGAUSS_THREADS", threads)
+        rng = np.random.default_rng(n_samples + 1)
+        for m in (3, 40, 300):
+            s = WeightedIndicatorSum(
+                rng.normal(scale=2.0, size=m), rng.uniform(0.02, 0.98, size=m)
+            )
+            seed = int(rng.integers(0, 1000))
+            vals = np.concatenate(list(reference_block_values(s, n_samples, seed)))
+            xs = np.abs(rng.choice(vals, size=8)).tolist()
+            for side in ("upper", "lower", "max_both"):
+                assert monte_carlo_tail(s, xs, n_samples, seed, side) == (
+                    single_shot_estimates(s, xs, n_samples, seed, side)
+                )
+
+    def test_same_bits_under_either_blas_kernel(self):
+        # OPENBLAS_CORETYPE picks the kernels of a DYNAMIC_ARCH OpenBLAS;
+        # where it has no effect the two runs agree trivially
+        rng = np.random.default_rng(23)
+        coeffs = rng.normal(size=200)
+        probs = rng.uniform(0.05, 0.95, size=200)
+        s = WeightedIndicatorSum(coeffs, probs)
+        vals = np.concatenate(list(reference_block_values(s, 20_000, 3)))
+        xs = np.abs(rng.choice(vals, size=16)).tolist()
+        code = (
+            "from subgauss import WeightedIndicatorSum, monte_carlo_tail\n"
+            f"s = WeightedIndicatorSum({coeffs.tolist()!r}, {probs.tolist()!r})\n"
+            f"print(repr(monte_carlo_tail(s, {xs!r}, 20_000, 3)))\n"
+        )
+        src = str(Path(subgauss.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for core in ("Haswell", "SandyBridge"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=pythonpath)
+            r = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert r.returncode == 0, r.stderr
+            outputs.append(r.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == repr(single_shot_estimates(s, xs, 20_000, 3, "max_both")) + "\n"
 
     def test_nan_anywhere_in_curve_raises(self):
         s = WeightedIndicatorSum.iid(3, 0.4)

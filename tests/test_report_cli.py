@@ -642,6 +642,18 @@ class TestWireFormat:
         assert list(row) == [f.name for f in dataclasses.fields(BoundRow)]
         assert list(row["mc"]) == [f.name for f in dataclasses.fields(McEstimate)]
 
+    @pytest.mark.parametrize("kind", sorted(_WIRE_REPORTS))
+    def test_mc_stream_version_only_where_sampled(self, kind):
+        # dp, exhaustive and the dependent "none" report draw no samples
+        rep = _WIRE_REPORTS[kind]()
+        want = 2 if kind == "mc" else None
+        keys = list(rep.metadata)
+        assert keys[keys.index("mc_samples") + 1] == "mc_stream_version"
+        assert rep.metadata["mc_stream_version"] == want
+        back = report_from_json(report_to_json(rep))
+        assert back.metadata["mc_stream_version"] == want
+        assert list(back.metadata) == keys
+
     def test_unknown_row_key_raises_type_error(self):
         doc = json.loads(report_to_json(_WIRE_REPORTS["dp"]()))
         doc["rows"][1]["extra"] = 1.0
