@@ -152,10 +152,7 @@ class McEstimate(object):
         return self.ci_low <= value <= self.ci_high
 
 
-def poisson_binomial_table(
-    probs: Iterable[ProbabilityLike],
-    cap: int = _DP_CAP,
-) -> DistributionTable:
+def poisson_binomial_table(probs: Iterable[ProbabilityLike]) -> DistributionTable:
     """Exact law of a sum of independent centered indicators, unit weights.
 
     Convolves term by term in float64, as the step
@@ -172,8 +169,8 @@ def poisson_binomial_table(
     n = len(ps)
     if n < 1:
         raise DomainError("need at least one probability")
-    if n > cap:
-        raise CapExceededError(f"n = {n} exceeds the DP cap {cap}")
+    if n > _DP_CAP:
+        raise CapExceededError(f"n = {n} exceeds the DP cap {_DP_CAP}")
 
     # mass[k + 1] holds atom k; mass[0] is a permanent +0 pad, so the
     # shifted band mass[lo - 1:hi + 1] never needs an edge case.  One
@@ -263,13 +260,13 @@ def tail_curve(
     raise DomainError(f"unknown side {side!r}")
 
 
-def _enumerate_outcomes(s: WeightedIndicatorSum, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _enumerate_outcomes(s: WeightedIndicatorSum) -> tuple[np.ndarray, np.ndarray]:
     """All 2^m outcome values and product probabilities of a small sum."""
     if not s.independent:
         raise DependenceError("enumeration requires independent terms")
     m = s.n_terms
-    if m > cap:
-        raise CapExceededError(f"m = {m} exceeds the enumeration cap {cap}")
+    if m > _EXHAUSTIVE_CAP:
+        raise CapExceededError(f"m = {m} exceeds the enumeration cap {_EXHAUSTIVE_CAP}")
     # doubling: outcome i includes term j iff bit j of i is set, and terms
     # are added (probabilities multiplied) in index order j = 0, 1, ...
     raw = np.zeros(1)
@@ -281,14 +278,14 @@ def _enumerate_outcomes(s: WeightedIndicatorSum, cap: int) -> tuple[np.ndarray, 
     return raw - shift, prob
 
 
-def exhaustive_outcome_table(s: WeightedIndicatorSum, cap: int = _EXHAUSTIVE_CAP) -> DistributionTable:
+def exhaustive_outcome_table(s: WeightedIndicatorSum) -> DistributionTable:
     """Exact law of a small independent weighted sum by full enumeration.
 
     Atoms with bitwise-equal values are merged.  For unit weights the atom
     values match poisson_binomial_table exactly, which is what makes the
     two oracles comparable at strict thresholds.
     """
-    values, probs = _enumerate_outcomes(s, cap)
+    values, probs = _enumerate_outcomes(s)
     order = np.argsort(values)
     support = values[order]
     if not np.any(support[1:] == support[:-1]):
@@ -300,19 +297,15 @@ def exhaustive_outcome_table(s: WeightedIndicatorSum, cap: int = _EXHAUSTIVE_CAP
 
 
 def exhaustive_weighted_tail(
-    s: WeightedIndicatorSum,
-    x: float,
-    side: Side = "max_both",
-    strict: bool = True,
-    cap: int = _EXHAUSTIVE_CAP,
+    s: WeightedIndicatorSum, x: float, side: Side = "max_both", strict: bool = True
 ) -> float:
     """Exact tail of a small independent weighted sum (max of both sides).
 
-    Enumerates all 2^m outcomes with exact product probabilities; m is
-    capped (default 20) because the enumeration is exponential.  Unlike
-    exhaustive_outcome_table, no atoms are merged, so no mass is rounded.
+    Enumerates all 2^m outcomes (m up to _EXHAUSTIVE_CAP) with exact
+    product probabilities.  Unlike exhaustive_outcome_table, no atoms are
+    merged, so no mass is rounded.
     """
-    values, probs = _enumerate_outcomes(s, cap)
+    values, probs = _enumerate_outcomes(s)
     return _tail_mass(values, probs, x, side, strict)
 
 

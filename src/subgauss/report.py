@@ -24,6 +24,7 @@ from .oracles import (
     _DP_CAP,
     _EXHAUSTIVE_CAP,
     MC_STREAM_VERSION,
+    DistributionTable,
     McEstimate,
     exact_tail,
     exhaustive_outcome_table,
@@ -40,6 +41,7 @@ __all__ = [
     "BoundRow",
     "BoundReport",
     "build_bound_report",
+    "exact_law",
     "report_to_json",
     "report_from_json",
     "report_to_csv",
@@ -99,6 +101,36 @@ def _terms_digest(s: WeightedIndicatorSum) -> str:
     return h.hexdigest()
 
 
+def exact_law(
+    s: WeightedIndicatorSum, required: bool = False
+) -> tuple[str, DistributionTable | None]:
+    """The exact oracle for s, as (method, table); the one place the caps apply.
+
+    ("dp", table) for independent unit-weight sums up to _DP_CAP terms,
+    ("exhaustive", table) for other independent sums up to _EXHAUSTIVE_CAP
+    terms, ("mc", None) past both caps, and ("none", None) for dependent
+    sums, whose joint law the marginals do not determine.  With required,
+    the last two raise CapExceededError instead.
+    """
+    if not s.independent:
+        if required:
+            raise CapExceededError(
+                "exact tails are undefined for a dependent sum: the marginals "
+                "do not determine the joint law"
+            )
+        return "none", None
+    if s.unit_coeffs and s.n_terms <= _DP_CAP:
+        return "dp", poisson_binomial_table(s.p_values)
+    if s.n_terms <= _EXHAUSTIVE_CAP:
+        return "exhaustive", exhaustive_outcome_table(s)
+    if required:
+        raise CapExceededError(
+            f"exact tails infeasible: m = {s.n_terms} exceeds both caps "
+            f"(exhaustive {_EXHAUSTIVE_CAP}, unit-weight DP {_DP_CAP})"
+        )
+    return "mc", None
+
+
 def build_bound_report(
     s: WeightedIndicatorSum,
     xs: Sequence[float],
@@ -108,46 +140,23 @@ def build_bound_report(
 ) -> BoundReport:
     """Assemble a report for the given thresholds.
 
-    Ground-truth column selection: the DP oracle for independent
-    unit-weight sums up to _DP_CAP terms, the enumeration oracle for other
-    independent sums up to _EXHAUSTIVE_CAP terms, Monte Carlo otherwise.
-    Dependent sums get neither (their joint law is not determined by the
-    marginals), only the triangle-bound column.  With exact_required, an
-    infeasible exact request raises CapExceededError instead of degrading.
+    The ground-truth column is exact_law's: exact tails from the DP or
+    enumeration table, Monte Carlo past both caps, and for dependent sums
+    only the triangle-bound column.  With exact_required, an infeasible
+    exact request raises CapExceededError instead of degrading.
 
-    All thresholds are validated before any sampling; the Monte Carlo
+    All thresholds are validated before any oracle runs; the Monte Carlo
     path makes one draw for all of them (see monte_carlo_tail).
     """
     bound = best_norm_bound(s)
-    table = None
-    exact_method = "none"
-    if s.independent:
-        if s.unit_coeffs and s.n_terms <= _DP_CAP:
-            table = poisson_binomial_table(s.p_values)
-            exact_method = "dp"
-        elif s.n_terms <= _EXHAUSTIVE_CAP:
-            table = exhaustive_outcome_table(s)
-            exact_method = "exhaustive"
-        elif exact_required:
-            raise CapExceededError(
-                f"exact tails infeasible: m = {s.n_terms} exceeds both caps "
-                f"(exhaustive {_EXHAUSTIVE_CAP}, unit-weight DP {_DP_CAP})"
-            )
-        else:
-            exact_method = "mc"
-    elif exact_required:
-        raise CapExceededError(
-            "exact tails are undefined for a dependent sum: the marginals "
-            "do not determine the joint law"
-        )
-
-    is_fair_coins = s.independent and s.unit_coeffs and (s.p_values == 0.5).all()
-    n = s.n_terms
-
     xs = [float(x) for x in xs]
     for x in xs:
         if not (math.isfinite(x) and x >= 0.0):
             raise DomainError(f"thresholds must be finite and >= 0, got {x!r}")
+    exact_method, table = exact_law(s, exact_required)
+    is_fair_coins = s.independent and s.unit_coeffs and (s.p_values == 0.5).all()
+    n = s.n_terms
+
     mcs = [None] * len(xs)
     if exact_method == "mc":
         mcs = monte_carlo_tail(s, xs, mc_samples, seed)

@@ -31,7 +31,10 @@ from .errors import DomainError
 from .optimize import golden_section_argmax
 from .parallel import process_map
 from .sums import WeightedIndicatorSum, norm_bound_independent
-from .oracles import exhaustive_outcome_table, poisson_binomial_table, tail_curve
+from .oracles import tail_curve
+# unused, but perfbench/trace_cli.py rebinds them
+from .oracles import exhaustive_outcome_table, poisson_binomial_table  # noqa: F401
+from .report import exact_law
 
 __all__ = [
     "SweepResult",
@@ -198,9 +201,8 @@ def argmax_sweep(
 @functools.lru_cache(maxsize=1)
 def _domination_cases(seed: int, m_max: int, n_random: int,
                       dp_sizes: tuple[int, ...]) -> tuple[tuple, ...]:
-    """The domination sweep's sums in order, as (label, coeffs, probs, dp):
-    n_random random weighted sums, then three unit-weight sums per DP size;
-    dp picks the DP oracle over enumeration.
+    """The domination sweep's sums in order, as (label, coeffs, probs):
+    n_random random weighted sums, then three unit-weight sums per DP size.
 
     The last draw is kept, with read-only arrays, so the tasks one worker
     runs draw the cases once between them.
@@ -211,15 +213,15 @@ def _domination_cases(seed: int, m_max: int, n_random: int,
         m = int(rng.integers(1, m_max + 1))
         coeffs = rng.uniform(-2.0, 2.0, size=m)
         probs = rng.uniform(0.02, 0.98, size=m)
-        cases.append((f"random[{k}] m={m}", coeffs, probs, False))
+        cases.append((f"random[{k}] m={m}", coeffs, probs))
     for n in dp_sizes:
         for label, ps in (
             ("fair", np.full(n, 0.5)),
             ("p=0.1", np.full(n, 0.1)),
             ("mixed", rng.uniform(0.05, 0.95, size=n)),
         ):
-            cases.append((f"dp n={n} {label}", np.ones(n), ps, True))
-    for _, coeffs, probs, _ in cases:
+            cases.append((f"dp n={n} {label}", np.ones(n), ps))
+    for _, coeffs, probs in cases:
         coeffs.setflags(write=False)
         probs.setflags(write=False)
     return tuple(cases)
@@ -242,9 +244,9 @@ def _check_domination(start: int, stop: int | None, n_random: int, seed: int,
         raise DomainError(f"domination x grid is empty (grid_points = {grid_points})")
     cases = _domination_cases(seed, m_max, n_random, tuple(dp_sizes))
     worst, witness, violations, checked = -math.inf, {}, 0, 0
-    for label, coeffs, probs, dp in cases[start:stop]:
+    for label, coeffs, probs in cases[start:stop]:
         s = WeightedIndicatorSum(coeffs, probs, independent=True)
-        table = poisson_binomial_table(probs) if dp else exhaustive_outcome_table(s)
+        _, table = exact_law(s, required=True)
         b = norm_bound_independent(s).value
         xs = np.linspace(0.0, s.abs_range, grid_points)
         exact = tail_curve(table, xs, side="max_both")

@@ -355,10 +355,6 @@ class TestPoissonBinomialDp:
         assert t.support == pytest.approx([-0.3, 0.7], rel=1e-15)
         assert t.masses == pytest.approx([0.7, 0.3], rel=1e-15)
 
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            poisson_binomial_table([0.5] * 7, cap=6)
-
     @pytest.mark.parametrize("bad", [math.nan, -1e-300, 1.0000000000000002])
     def test_rejects_bad_probability(self, bad):
         with pytest.raises(DomainError, match=f"got {bad!r}$"):
@@ -499,7 +495,7 @@ class TestEnumeration:
             if kind == "zero_mass":
                 ps[: m // 2] = rng.choice([0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53], size=m // 2)
             s = WeightedIndicatorSum(coeffs, ps)
-            values, probs = _enumerate_outcomes(s, 20)
+            values, probs = _enumerate_outcomes(s)
             support, inverse = np.unique(values, return_inverse=True)
             masses = np.bincount(inverse, weights=probs, minlength=support.size)
             t = exhaustive_outcome_table(s)
@@ -518,7 +514,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("seed", range(25))
     def test_doubling_is_bitwise_bit_loop(self, seed):
         s = enumeration_sum(np.random.default_rng(seed))
-        values, probs = _enumerate_outcomes(s, 20)
+        values, probs = _enumerate_outcomes(s)
         ref_values, ref_probs = bit_loop_outcomes(s)
         # byte comparison also tells -0.0 from 0.0
         assert values.tobytes() == ref_values.tobytes()
@@ -720,8 +716,8 @@ class TestMonteCarlo:
         assert monte_carlo_tail(s, [], 1000, seed=0) == ()
 
     def test_memory_bounded_per_worker(self):
-        # one 65 536-sample block of 2000 terms: a single-shot draw holds
-        # about 2 GiB of uniforms, mask and cast mask
+        # four 16 384-sample blocks of 2000 terms: a single-shot draw holds
+        # about 530 MiB of uniforms, mask and cast mask per block in flight
         code = (
             "import resource\n"
             "from subgauss import WeightedIndicatorSum, monte_carlo_tail\n"

@@ -7,6 +7,7 @@ all part of the public contract.
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -30,6 +31,8 @@ from subgauss import (
     SUITES,
     WeightedIndicatorSum,
     build_bound_report,
+    domination_sweep,
+    exact_law,
     monte_carlo_tail,
     report_from_json,
     report_to_csv,
@@ -38,6 +41,7 @@ from subgauss import (
 )
 import subgauss.cli as cli_module
 from subgauss.cli import main as cli_main
+from subgauss.verify import _domination_cases
 
 
 def run_cli(*args, env_extra=None, timeout=120):
@@ -83,13 +87,20 @@ class TestReportBuild:
 
     @pytest.mark.parametrize("bad", [-0.5, math.inf, math.nan])
     def test_bad_threshold_raises_before_sampling(self, monkeypatch, bad):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before validating thresholds")
+        # no oracle runs first: not Monte Carlo, the DP or the enumeration
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("ran an oracle before validating thresholds")
 
-        monkeypatch.setattr(report_module, "monte_carlo_tail", no_sampling)
-        s = WeightedIndicatorSum([1.0 + 0.01 * k for k in range(25)], [0.3] * 25)
-        with pytest.raises(DomainError, match="thresholds must be finite"):
-            build_bound_report(s, [1.0, bad, 2.0], mc_samples=1_000)
+        for name in ("monte_carlo_tail", "poisson_binomial_table",
+                     "exhaustive_outcome_table"):
+            monkeypatch.setattr(report_module, name, no_oracle)
+        for s in (
+            WeightedIndicatorSum([1.0 + 0.01 * k for k in range(25)], [0.3] * 25),
+            WeightedIndicatorSum.iid(40, 0.3),
+            WeightedIndicatorSum([2.0, -1.0, 0.5], [0.1, 0.5, 0.9]),
+        ):
+            with pytest.raises(DomainError, match="thresholds must be finite"):
+                build_bound_report(s, [1.0, bad, 2.0], mc_samples=1_000)
 
     def test_dependent_sum_has_no_oracle(self):
         s = WeightedIndicatorSum([1.0, 1.0], [0.5, 0.5], independent=False)
@@ -208,6 +219,61 @@ class TestReportBuild:
         assert rep.rows[1].subgaussian_bound == pytest.approx(
             math.exp(-0.5), rel=1e-15
         )
+
+
+PAST_BOTH_CAPS = ("exact tails infeasible: m = 21 exceeds both caps "
+                  "(exhaustive 20, unit-weight DP 100000)")
+DEPENDENT_LAW = ("exact tails are undefined for a dependent sum: the marginals "
+                 "do not determine the joint law")
+
+
+class TestExactLaw:
+    """The one oracle chooser; its builders return sentinels here."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        tables = {"dp": object(), "exhaustive": object(), "mc": None, "none": None}
+        monkeypatch.setattr(report_module, "poisson_binomial_table",
+                            lambda probs: tables["dp"])
+        monkeypatch.setattr(report_module, "exhaustive_outcome_table",
+                            lambda s: tables["exhaustive"])
+        return tables
+
+    @pytest.mark.parametrize("s,method", [
+        (WeightedIndicatorSum.iid(100_000, 0.3), "dp"),
+        (WeightedIndicatorSum.iid(100_001, 0.3), "mc"),
+        (WeightedIndicatorSum([1.0 + 0.01 * k for k in range(20)], [0.3] * 20),
+         "exhaustive"),
+        (WeightedIndicatorSum([1.0 + 0.01 * k for k in range(21)], [0.3] * 21), "mc"),
+        (WeightedIndicatorSum([1.0, 1.0], [0.5, 0.5], independent=False), "none"),
+    ], ids=["dp-at-cap", "unit-past-cap", "exhaustive-at-cap", "weighted-past-cap",
+            "dependent"])
+    def test_method_and_table(self, tables, s, method):
+        got = exact_law(s)
+        assert got[0] == method
+        assert got[1] is tables[method]
+        if method in ("dp", "exhaustive"):
+            assert exact_law(s, required=True) == got
+
+    @pytest.mark.parametrize("s,message", [
+        (WeightedIndicatorSum([1.0 + 0.01 * k for k in range(21)], [0.3] * 21),
+         PAST_BOTH_CAPS),
+        (WeightedIndicatorSum([1.0, 1.0], [0.5, 0.5], independent=False),
+         DEPENDENT_LAW),
+    ])
+    def test_required_raises_verbatim(self, tables, s, message):
+        with pytest.raises(CapExceededError) as exc:
+            exact_law(s, required=True)
+        assert str(exc.value) == message
+
+    def test_domination_cases_use_dp_exactly_for_dp_labels(self, tables):
+        defaults = inspect.signature(domination_sweep).parameters
+        args = [defaults[name].default for name in ("seed", "m_max", "n_random")]
+        cases = _domination_cases(*args, tuple(defaults["dp_sizes"].default))
+        assert any(label.startswith("dp n=") for label, _, _ in cases)
+        for label, coeffs, probs in cases:
+            method, _ = exact_law(WeightedIndicatorSum(coeffs, probs))
+            assert method == ("dp" if label.startswith("dp n=") else "exhaustive"), label
 
 
 class TestSerialization:
@@ -354,6 +420,17 @@ class TestCliBound:
         )
         assert r.returncode == 3
         assert r.stdout == ""
+
+    def test_bad_threshold_is_usage_error_before_exact_required(self):
+        # thresholds are checked before the oracle is chosen, so a bad one
+        # exits 2 even where --exact-required alone would exit 3
+        r = run_cli(
+            "bound", "--probs", "0.5,0.5", "--dependent",
+            "--x-grid=-1,1", "--exact-required",
+        )
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "thresholds must be finite and >= 0, got -1.0" in r.stderr
 
     def test_probability_out_of_range_is_usage_error(self):
         r = run_cli("bound", "--probs", "1.5", "--x-grid", "1")
