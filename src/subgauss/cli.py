@@ -33,7 +33,7 @@ from .errors import CapExceededError, SubgaussError
 from .oracles import exact_tail, poisson_binomial_table
 from .report import _fmt, build_bound_report, report_to_csv, report_to_json
 from .sums import WeightedIndicatorSum, hoeffding_reference_tail
-from .verify import SUITES, run_suites
+from .verify import SUITES, _p_grid, run_suites
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAIL = 1
@@ -256,11 +256,7 @@ def _verify_kwargs(args: argparse.Namespace, counts: list[int] | None,
             if len(counts) > 1:
                 kwargs["lambda_count"] = counts[1]
         elif suite in ("sharpness", "argmax"):
-            n = counts[0]
-            ps = [(k + 1) / (n + 1) for k in range(n)]
-            if suite == "argmax":
-                ps = [p for p in ps if p != 0.5]
-            kwargs["p_values"] = ps
+            kwargs["p_values"] = _p_grid(counts[0], drop_half=suite == "argmax")
         elif suite == "domination":
             kwargs["n_random"] = counts[0]
             if len(counts) > 1:

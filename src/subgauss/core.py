@@ -638,23 +638,29 @@ def noncentered_norm(centered: SubgaussianNorm | float, mean: float) -> Subgauss
     return SubgaussianNorm(math.hypot(value, mean), method)
 
 
-def tail_bound_from_norm(tau: SubgaussianNorm | float, x: float) -> float:
+def tail_bound_from_norm(tau: SubgaussianNorm | float, x):
     """Two-sided tail bound exp(-x^2 / (4 tau^2)) from a subgaussian norm.
 
     Bounds max(P(X > x), P(X < -x)) for any centered X with norm tau.
     Decreasing in x, equal to 1 at x = 0.  A zero norm admits no bound at
     positive x (the bound degenerates), which is reported as a domain error.
+    x is a float or an array of thresholds; an array gives an array of its
+    shape, each element bitwise its own float call (math.exp per element,
+    so no bit depends on numpy's exp), and an error names the first bad x.
     """
     t = tau.value if isinstance(tau, SubgaussianNorm) else float(tau)
     if math.isnan(t) or t < 0.0:
         raise DomainError(f"norm must be a nonnegative real, got {tau!r}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"threshold must be a finite x >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0
-    if t == 0.0:
+    xs = np.asarray(x, dtype=float)
+    bad = ~(np.isfinite(xs) & (xs >= 0.0))
+    if bad.any():
+        got = x if xs.ndim == 0 else float(xs[bad][0])
+        raise DomainError(f"threshold must be a finite x >= 0, got {got!r}")
+    if t == 0.0 and (xs > 0.0).any():
         raise DomainError("tail bound undefined for zero norm at positive x")
-    return math.exp(-(x * x) / (4.0 * t * t))
+    denom = 4.0 * t * t
+    vals = [math.exp(-(v * v) / denom) if v else 1.0 for v in xs.ravel().tolist()]
+    return np.array(vals).reshape(xs.shape) if xs.ndim else vals[0]
 
 
 def norm_bound_from_tail(k: float) -> SubgaussianNorm:

@@ -197,24 +197,31 @@ def poisson_binomial_table(probs: Iterable[ProbabilityLike]) -> DistributionTabl
     return DistributionTable(support, mass[1:])
 
 
-def _tail_mass(
-    values: np.ndarray, masses: np.ndarray, x: float, side: Side, strict: bool
-) -> float:
-    """Tail mass of atoms in any order, duplicates allowed; see exact_tail."""
+def _cut(values: np.ndarray, xs, strict: bool):
+    """Where thresholds xs split sorted values: values[i:] are above x and
+    values[:j] below -x, or at them too if not strict; returns (i, j)."""
+    up, lo = ("right", "left") if strict else ("left", "right")
+    return np.searchsorted(values, xs, up), np.searchsorted(values, -xs, lo)
+
+
+def _side(side: Side):
+    """The side rule: a function of (upper, lower) tails giving one or their maximum."""
+    if side == "upper":
+        return lambda upper, lower: upper
+    if side == "lower":
+        return lambda upper, lower: lower
+    if side == "max_both":
+        return np.maximum
+    raise DomainError(f"unknown side {side!r}")
+
+
+def _sorted_tail(values, masses, x: float, side: Side, strict: bool) -> float:
+    """fsum tail of atoms in sorted order, duplicates allowed; see exact_tail."""
     if math.isnan(x):
         raise DomainError("threshold must not be NaN")
-    if side == "max_both":
-        return max(
-            _tail_mass(values, masses, x, "upper", strict),
-            _tail_mass(values, masses, x, "lower", strict),
-        )
-    if side == "upper":
-        sel = values > x if strict else values >= x
-    elif side == "lower":
-        sel = values < -x if strict else values <= -x
-    else:
-        raise DomainError(f"unknown side {side!r}")
-    return math.fsum(masses[sel].tolist())
+    pick = _side(side)
+    i, j = _cut(values, x, strict)
+    return float(pick(math.fsum(masses[i:].tolist()), math.fsum(masses[:j].tolist())))
 
 
 def exact_tail(
@@ -228,7 +235,7 @@ def exact_tail(
     P(S >= x) and P(S <= -x).  Selected masses are summed with fsum, which
     rounds correctly, so the result does not depend on atom order.
     """
-    return _tail_mass(table.support, table.masses, x, side, strict)
+    return _sorted_tail(table.support, table.masses, x, side, strict)
 
 
 def tail_curve(
@@ -237,27 +244,21 @@ def tail_curve(
     """Vectorized tails over a threshold grid via cumulative sums.
 
     Accumulates from the extreme ends of the support inward (the small
-    masses first for unimodal laws); agrees with exact_tail to a few 1e-16
-    absolute, which is what the bound-domination sweeps need.  Use
-    exact_tail for single thresholds where exact rounding matters.
+    masses first for unimodal laws).  At x >= 0 a tail holds at most n - 1
+    of the n atoms (the law is centered), so it differs from exact_tail by
+    at most gamma(n - 1) = (n - 1) u / (1 - (n - 1) u) times its mass,
+    u = 2^-53, exact_tail's rounding included.  Worst on the default
+    domination sweep (512 tables x 64 x): 4.44e-15, at random[332] m=16,
+    x = 0, and 0.333 of the bound.  exact_tail rounds correctly.
     """
     xs = np.asarray(xs, dtype=float)
     if np.any(np.isnan(xs)):
         raise DomainError("thresholds must not be NaN")
-    support, masses = table.support, table.masses
-    suffix = np.concatenate((np.cumsum(masses[::-1])[::-1], [0.0]))
-    prefix = np.concatenate(([0.0], np.cumsum(masses)))
-    sel = "right" if strict else "left"
-    upper = suffix[np.searchsorted(support, xs, side=sel)]
-    sel_lo = "left" if strict else "right"
-    lower = prefix[np.searchsorted(support, -xs, side=sel_lo)]
-    if side == "upper":
-        return upper
-    if side == "lower":
-        return lower
-    if side == "max_both":
-        return np.maximum(upper, lower)
-    raise DomainError(f"unknown side {side!r}")
+    pick = _side(side)
+    suffix = np.concatenate((np.cumsum(table.masses[::-1])[::-1], [0.0]))
+    prefix = np.concatenate(([0.0], np.cumsum(table.masses)))
+    i, j = _cut(table.support, xs, strict)
+    return pick(suffix[i], prefix[j])
 
 
 def _enumerate_outcomes(s: WeightedIndicatorSum) -> tuple[np.ndarray, np.ndarray]:
@@ -303,10 +304,11 @@ def exhaustive_weighted_tail(
 
     Enumerates all 2^m outcomes (m up to _EXHAUSTIVE_CAP) with exact
     product probabilities.  Unlike exhaustive_outcome_table, no atoms are
-    merged, so no mass is rounded.
+    merged, so no mass is rounded; a stable sort puts them in order.
     """
     values, probs = _enumerate_outcomes(s)
-    return _tail_mass(values, probs, x, side, strict)
+    order = np.argsort(values, kind="stable")
+    return _sorted_tail(values[order], probs[order], x, side, strict)
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z_99) -> tuple[float, float]:
@@ -368,8 +370,7 @@ def monte_carlo_tail(
         raise DomainError(f"need n_samples >= 100, got {n_samples}")
     if int(seed) != seed or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    if side not in ("upper", "lower", "max_both"):
-        raise DomainError(f"unknown side {side!r}")
+    pick = _side(side)
     seed = int(seed)
     curve = np.atleast_1d(xs)
     if curve.size == 0:
@@ -399,13 +400,13 @@ def monte_carlo_tail(
                 vals += term
         vals -= shift
         vals.sort()
-        up = rows - np.searchsorted(vals, curve, side="right")
-        return up, np.searchsorted(vals, -curve, side="left")
+        i, j = _cut(vals, curve, True)
+        return rows - i, j
 
     counts = ordered_map(run_block, range(n_blocks))
     up = sum(c[0] for c in counts)
     lo = sum(c[1] for c in counts)
-    ks = {"upper": up, "lower": lo, "max_both": np.maximum(up, lo)}[side]
+    ks = pick(up, lo)
     estimates = tuple(
         McEstimate(k / n_samples, *wilson_interval(k, n_samples), n_samples, seed)
         for k in ks.tolist()

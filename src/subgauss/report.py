@@ -154,28 +154,12 @@ def build_bound_report(
         if not (math.isfinite(x) and x >= 0.0):
             raise DomainError(f"thresholds must be finite and >= 0, got {x!r}")
     exact_method, table = exact_law(s, exact_required)
-    is_fair_coins = s.independent and s.unit_coeffs and (s.p_values == 0.5).all()
-    n = s.n_terms
-
-    mcs = [None] * len(xs)
-    if exact_method == "mc":
-        mcs = monte_carlo_tail(s, xs, mc_samples, seed)
-
-    rows = []
-    for x, mc in zip(xs, mcs):
-        exact = exact_tail(table, x) if table is not None else None
-        hoeff = None
-        if is_fair_coins:
-            hoeff = hoeffding_reference_tail(n, 2.0 * x / math.sqrt(n))
-        rows.append(
-            BoundRow(
-                x=x,
-                exact_tail=exact,
-                mc=mc,
-                subgaussian_bound=tail_bound_from_norm(bound.value, x),
-                hoeffding_bound=hoeff,
-            )
-        )
+    n, empty = s.n_terms, [None] * len(xs)
+    mcs = monte_carlo_tail(s, xs, mc_samples, seed) if exact_method == "mc" else empty
+    exacts = empty if table is None else [exact_tail(table, x) for x in xs]
+    fair = s.independent and s.unit_coeffs and (s.p_values == 0.5).all()
+    hoeffs = [hoeffding_reference_tail(n, 2.0 * x / math.sqrt(n)) for x in xs] if fair else empty
+    bounds = tail_bound_from_norm(bound.value, xs).tolist()
 
     metadata = {
         "terms_digest": _terms_digest(s),
@@ -191,7 +175,7 @@ def build_bound_report(
         "invariant_tol": EXACT_INVARIANT_TOL,
         "version": __version__,
     }
-    return BoundReport(tuple(rows), metadata)
+    return BoundReport(tuple(map(BoundRow, xs, exacts, mcs, bounds, hoeffs)), metadata)
 
 
 def report_to_json(report: BoundReport) -> str:

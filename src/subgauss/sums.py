@@ -188,11 +188,11 @@ def best_norm_bound(s: WeightedIndicatorSum) -> SumNormBound:
     return norm_bound_dependent(s)
 
 
-def sum_tail_bound(s: WeightedIndicatorSum, x: float) -> float:
+def sum_tail_bound(s: WeightedIndicatorSum, x):
     """Tail bound exp(-x^2 / (4 B^2)) with B the best available norm bound.
 
-    Bounds max(P(sum > x), P(sum < -x)).  Degenerate sums (every term
-    almost surely zero, B = 0) admit no bound at positive x.
+    Bounds max(P(sum > x), P(sum < -x)); x may be an array, as in
+    tail_bound_from_norm.  Degenerate sums (B = 0) admit no bound at x > 0.
     """
     bound = best_norm_bound(s)
     return tail_bound_from_norm(bound.value, x)

@@ -25,6 +25,7 @@ from .core import (
     log_mgf_values,
     q_norm,
     subgaussian_norm_numeric,
+    tail_bound_from_norm,
 )
 from .core import g_value  # noqa: F401 -- unused, but perfbench/trace_cli.py rebinds it
 from .errors import DomainError
@@ -75,6 +76,12 @@ def _sign_symmetric_log_grid(count: int, lo: float, hi: float) -> np.ndarray:
     half = count // 2
     pos = np.geomspace(lo, hi, half)
     return np.concatenate((-pos[::-1], pos))
+
+
+def _p_grid(n: int, drop_half: bool = False) -> list[float]:
+    """The sharpness and argmax p grid k / (n + 1), k = 1..n (n = 99 by
+    default); drop_half leaves out p = 1/2, which argmax excludes."""
+    return [k / (n + 1) for k in range(1, n + 1) if not (drop_half and 2 * k == n + 1)]
 
 
 def kearns_saul_sweep(
@@ -129,7 +136,7 @@ def sharpness_sweep(
     batched numeric supremum.
     """
     if p_values is None:
-        p_values = [round(0.01 * k, 2) for k in range(1, 100)]
+        p_values = _p_grid(99)
     if len(p_values) == 0:
         raise DomainError("sharpness p grid is empty")
 
@@ -157,7 +164,7 @@ def argmax_sweep(
     All p share one batched golden-section search.
     """
     if p_values is None:
-        p_values = [round(0.01 * k, 2) for k in range(1, 100) if k != 50]
+        p_values = _p_grid(99, drop_half=True)
     if len(p_values) == 0:
         raise DomainError("argmax p grid is empty")
 
@@ -249,10 +256,7 @@ def _check_domination(start: int, stop: int | None, n_random: int, seed: int,
         _, table = exact_law(s, required=True)
         b = norm_bound_independent(s).value
         xs = np.linspace(0.0, s.abs_range, grid_points)
-        exact = tail_curve(table, xs, side="max_both")
-        with np.errstate(divide="ignore"):
-            bound = np.where(xs == 0.0, 1.0, np.exp(-(xs * xs) / (4.0 * b * b)))
-        margins = exact - bound
+        margins = tail_curve(table, xs, side="max_both") - tail_bound_from_norm(b, xs)
         i = int(np.argmax(margins))
         checked += len(xs)
         violations += int(np.count_nonzero(margins > tol))

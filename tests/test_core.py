@@ -490,6 +490,47 @@ class TestConversions:
         with pytest.raises(DomainError):
             tail_bound_from_norm(0.5, -1.0)
 
+    @pytest.mark.parametrize("tau, shown", [(math.nan, "nan"), (-1.0, "-1.0")])
+    def test_tail_bound_rejects_bad_norm(self, tau, shown):
+        with pytest.raises(DomainError, match=f"^norm must be a nonnegative real, got {shown}$"):
+            tail_bound_from_norm(tau, 1.0)
+
+    # 0, -0, moderate, x^2 / 4 tau^2 within an ulp of exp's underflow edge
+    # (about 745.13 for tau = 0.5), and past it
+    TAIL_XS = [0.0, -0.0, 1e-300, 0.3, 1.0, 2.5, 10.0, 27.29, 27.3, 27.31, 40.0]
+
+    @pytest.mark.parametrize("shape", [(), (11,), (2, 11)])
+    def test_tail_bound_array_is_bitwise_its_scalar_calls(self, shape):
+        xs = np.resize(np.array(self.TAIL_XS), shape or (1,)).reshape(shape)
+        got = tail_bound_from_norm(0.5, xs)
+        want = [tail_bound_from_norm(0.5, x) for x in xs.ravel().tolist()]
+        if shape == ():
+            assert isinstance(got, float) and got.hex() == want[0].hex()
+        else:
+            assert got.shape == shape
+            assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want]
+
+    def test_tail_bound_takes_a_list(self):
+        got = tail_bound_from_norm(SubgaussianNorm(0.5, NormMethod.CLOSED_FORM), self.TAIL_XS)
+        want = [tail_bound_from_norm(0.5, x) for x in self.TAIL_XS]
+        assert got.tolist() == want
+        assert want[7] == 5e-324 and want[8] == 0.0  # the edge is reached
+        assert tail_bound_from_norm(0.5, []).shape == (0,)
+
+    @pytest.mark.parametrize("bad, shown", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-1.0, "-1.0"),
+    ])
+    def test_tail_bound_array_names_the_first_bad_threshold(self, bad, shown):
+        xs = np.array([[0.0, 1.0, bad], [-2.0, math.nan, 1.0]])
+        with pytest.raises(DomainError, match=f"^threshold must be a finite x >= 0, got {shown}$"):
+            tail_bound_from_norm(0.5, xs)
+
+    def test_tail_bound_zero_norm_on_arrays(self):
+        with pytest.raises(DomainError, match="^tail bound undefined for zero norm at positive x$"):
+            tail_bound_from_norm(0.0, [0.0, 0.0, 1e-300])
+        assert tail_bound_from_norm(0.0, np.zeros((2, 3))).tolist() == [[1.0] * 3] * 2
+        assert tail_bound_from_norm(0.0, [0.0, -0.0]).tolist() == [1.0, 1.0]
+
     def test_norm_from_tail_factor_four(self):
         got = norm_bound_from_tail(0.25)
         assert got.value == 1.0

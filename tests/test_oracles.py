@@ -772,3 +772,53 @@ class TestSumLogMgf:
     def test_curve_vanishes_at_zero(self):
         s = WeightedIndicatorSum.iid(50, 0.2)
         assert sum_log_mgf_curve(s).at(0.0) == 0.0
+
+
+class TestTailLayerErrors:
+    """The tail layer's error messages, pinned word for word."""
+
+    def test_curve_rejects_nan_threshold(self):
+        t = poisson_binomial_table([0.5] * 4)
+        with pytest.raises(DomainError, match="^thresholds must not be NaN$"):
+            tail_curve(t, [0.0, math.nan])
+
+    def test_curve_rejects_unknown_side(self):
+        t = poisson_binomial_table([0.5] * 4)
+        with pytest.raises(DomainError, match="^unknown side 'both'$"):
+            tail_curve(t, [0.0, 1.0], side="both")
+
+    def test_mc_rejects_2d_thresholds(self):
+        s = WeightedIndicatorSum.iid(3, 0.4)
+        with pytest.raises(DomainError, match="^thresholds must be a float or a 1-d sequence$"):
+            monte_carlo_tail(s, [[0.0, 1.0]], 1000, seed=0)
+
+    def test_mc_rejects_unknown_side_before_drawing(self, monkeypatch):
+        def no_draw(fn, items):
+            raise AssertionError("drew before checking the side")
+
+        monkeypatch.setattr(oracles_module, "ordered_map", no_draw)
+        s = WeightedIndicatorSum.iid(3, 0.4)
+        with pytest.raises(DomainError, match="^unknown side 'both'$"):
+            monte_carlo_tail(s, 0.5, 1000, seed=0, side="both")
+
+    @pytest.mark.parametrize("support, masses", [
+        ([-0.5, 0.5], [1.0]),
+        ([], []),
+        ([[-0.5, 0.5]], [[0.5, 0.5]]),
+    ])
+    def test_table_rejects_mismatched_or_empty(self, support, masses):
+        with pytest.raises(DomainError, match="^support and masses must be matching 1-d arrays$"):
+            DistributionTable(np.array(support), np.array(masses))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_table_rejects_nonfinite_support(self, bad):
+        with pytest.raises(DomainError, match="^support must be finite$"):
+            DistributionTable(np.array([bad, 0.5]), np.array([0.5, 0.5]))
+
+    def test_table_rejects_negative_mass(self):
+        with pytest.raises(DomainError, match="^masses must be finite and nonnegative$"):
+            DistributionTable(np.array([-1.0, 0.0, 1.0]), np.array([0.6, -0.2, 0.6]))
+
+    def test_dp_rejects_no_probabilities(self):
+        with pytest.raises(DomainError, match="^need at least one probability$"):
+            poisson_binomial_table([])

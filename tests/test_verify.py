@@ -14,6 +14,8 @@ from subgauss import (
     DomainError,
     SweepResult,
     WeightedIndicatorSum,
+    exact_law,
+    exact_tail,
     exhaustive_outcome_table,
     log_mgf_values,
     norm_bound_independent,
@@ -22,11 +24,13 @@ from subgauss import (
     run_suite,
     tail_curve,
 )
+import subgauss.verify as verify_module
 from subgauss.verify import (
     DEFAULT_DOMINATION_SEED,
     _DominationPart,
     _domination_cases,
     _domination_result,
+    _p_grid,
     _tasks,
     argmax_sweep,
     domination_sweep,
@@ -238,3 +242,57 @@ def test_run_suites_order_and_first_error(monkeypatch, threads):
 def test_argmax_excludes_half():
     with pytest.raises(DomainError, match="excludes p = 0.5"):
         argmax_sweep(p_values=[0.2, 0.5])
+
+
+def test_domination_checks_the_package_tail_bound(monkeypatch):
+    calls = []
+    real = verify_module.tail_bound_from_norm
+
+    def spy(tau, x):
+        calls.append((tau, x.copy()))
+        return real(tau, x)
+
+    monkeypatch.setattr(verify_module, "tail_bound_from_norm", spy)
+    domination_sweep(n_random=20, dp_sizes=(16,), grid_points=16)
+    cases = _domination_cases(DEFAULT_DOMINATION_SEED, 16, 20, (16,))
+    assert len(calls) == len(cases) == 23
+    for (tau, xs), (_, coeffs, probs) in zip(calls, cases):
+        s = WeightedIndicatorSum(coeffs, probs)
+        assert tau == norm_bound_independent(s).value
+        assert xs.tolist() == np.linspace(0.0, s.abs_range, 16).tolist()
+
+
+def gamma(k):
+    """Higham's gamma(k) = k u / (1 - k u), u = 2^-53."""
+    ku = k * 2.0 ** -53
+    return ku / (1.0 - ku)
+
+
+def test_tail_curve_within_its_stated_bound():
+    # the first 100 random domination sums and the three dp n=1024 sums;
+    # measured worst gap 2.61e-15 at random[74] m=16
+    cases = _domination_cases(DEFAULT_DOMINATION_SEED, 16, 500, (16, 128, 1024, 10_000))
+    worst = (0.0, None)
+    for label, coeffs, probs in cases[:100] + cases[506:509]:
+        s = WeightedIndicatorSum(coeffs, probs)
+        _, table = exact_law(s, required=True)
+        xs = np.linspace(0.0, s.abs_range, 64)
+        curve = tail_curve(table, xs).tolist()
+        # a tail holds at most n - 1 atoms, each tail mass is at most 1 + 1e-12
+        bound = gamma(table.n_atoms - 1) * (1.0 + 1e-12)
+        for x, c in zip(xs.tolist(), curve):
+            ratio = abs(c - exact_tail(table, x)) / bound
+            if ratio > worst[0]:
+                worst = (ratio, (label, x))
+    assert cases[508][0] == "dp n=1024 mixed"
+    assert worst[0] <= 1.0, f"tail_curve at {worst[0]:.3g} of gamma(n - 1), witness {worst[1]}"
+
+
+def test_p_grid_is_the_old_default_grid():
+    want = [round(0.01 * k, 2) for k in range(1, 100)]
+    assert [p.hex() for p in _p_grid(99)] == [p.hex() for p in want]
+    assert _p_grid(99, drop_half=True) == [p for p in want if p != 0.5]
+    assert _p_grid(3) == [0.25, 0.5, 0.75]
+    assert _p_grid(3, drop_half=True) == [0.25, 0.75]
+    assert _p_grid(4, drop_half=True) == _p_grid(4) == [0.2, 0.4, 0.6, 0.8]
+    assert _p_grid(0) == []
