@@ -295,7 +295,7 @@ def _cmd_example32(args: argparse.Namespace) -> int:
     rows = []
     for x in kept:
         tail = exact_tail(table, x * rn / 2.0, side="upper")
-        gauss = hoeffding_reference_tail(n, x)
+        gauss = hoeffding_reference_tail(x)
         rows.append((x, tail, gauss, tail * x * math.exp(x * x / 2.0)))
     _emit_rows(rows, ("x", "scaled_tail", "gauss_bound", "ratio"), args.format)
     return _EXIT_OK

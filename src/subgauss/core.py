@@ -28,7 +28,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -43,7 +42,6 @@ __all__ = [
     "NormMethod",
     "SubgaussianNorm",
     "LogMgfCurve",
-    "NumericSupConfig",
     "as_probability",
     "as_indicator",
     "q_norm",
@@ -236,7 +234,8 @@ class LogMgfCurve(object):
     evaluate to 0 at t = 0.  ``variance`` optionally supplies the exact
     variance of X, which makes the t -> 0 limit of log-MGF / t^2 available
     to the numeric norm as an exact candidate.  ``lambda_hint`` optionally
-    widens the default search window up to that |t|.
+    widens the numeric norm's search window up to that |t|; a curve whose
+    maximizer lies past |t| = 60 must declare one.
 
     A batch of R curves has ``rows`` = R: ``fn`` maps an (R, n) array of t,
     row r on curve r, and ``variance`` and ``lambda_hint``, when given, are
@@ -462,40 +461,24 @@ def g_value(p: ProbabilityLike, lam: float, limit_at_zero: bool = False) -> floa
     return float(g_values(prob, lam))
 
 
-@dataclass(frozen=True)
-class NumericSupConfig(object):
-    """Search window and refinement settings for the numeric norm.
-
-    The grid spans |t| in [lambda_min, lambda_max] log-spaced on both signs;
-    a curve's lambda_hint can widen lambda_max.  Golden-section refinement
-    runs to the given interval tolerance, erroring out past max_iter.
-    """
-
-    lambda_min: float = 1e-8
-    lambda_max: float = 60.0
-    grid_points: int = 160
-    tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.lambda_min < self.lambda_max):
-            raise DomainError("need 0 < lambda_min < lambda_max")
-        if self.grid_points < 4:
-            raise DomainError("grid_points must be at least 4")
+# The numeric norm's grid window and points per sign, and its refinement.
+_SUP_LAMBDA_MIN = 1e-8
+_SUP_LAMBDA_MAX = 60.0
+_SUP_GRID_POINTS = 160
+_SUP_TOL = 1e-12
+_SUP_MAX_ITER = 200
 
 
-def subgaussian_norm_numeric(
-    curve: LogMgfCurve,
-    config: NumericSupConfig | None = None,
-) -> SubgaussianNorm | list[SubgaussianNorm]:
+def subgaussian_norm_numeric(curve: LogMgfCurve) -> SubgaussianNorm | list[SubgaussianNorm]:
     """Numeric subgaussian norm sqrt(sup g) of an arbitrary log-MGF curve.
 
-    Evaluates g = curve / t^2 on a sign-symmetric log-spaced grid, refines
-    the best cell on each side by golden-section search, and includes the
-    exact t -> 0 variance limit as a candidate when the curve declares its
-    variance.  The reported value is a lower bound of the true supremum;
-    for unimodal g inside the window it matches the supremum to roughly the
-    accuracy of the curve evaluations themselves.
+    Evaluates g = curve / t^2 on a sign-symmetric log-spaced grid over
+    1e-8 <= |t| <= max(60, lambda_hint) (a bare callable has no hint),
+    refines the best cell on each side by golden-section search, and
+    includes the exact t -> 0 variance limit as a candidate when the curve
+    declares its variance.  The reported value is a lower bound of the true
+    supremum; for unimodal g inside the window it matches the supremum to
+    roughly the accuracy of the curve evaluations themselves.
 
     A batch curve (``rows`` = R) gives a list of R norms, one per row, from
     one grid evaluation and one lockstep golden-section search over all
@@ -504,7 +487,6 @@ def subgaussian_norm_numeric(
     """
     if not isinstance(curve, LogMgfCurve):
         curve = LogMgfCurve(fn=curve)
-    cfg = config or NumericSupConfig()
     rows = 1 if curve.rows is None else curve.rows
 
     def per_row(value) -> np.ndarray:
@@ -517,11 +499,11 @@ def subgaussian_norm_numeric(
             f"log-MGF curve must vanish at t = 0, got {float(at_zero[np.argmax(bad)])!r}"
         )
 
-    lam_max = per_row(cfg.lambda_max)
+    lam_max = per_row(_SUP_LAMBDA_MAX)
     if curve.lambda_hint is not None:
         hint = per_row(curve.lambda_hint)
         lam_max = np.where(hint > lam_max, hint, lam_max)
-    grids = {v: np.geomspace(cfg.lambda_min, v, cfg.grid_points) for v in set(lam_max.tolist())}
+    grids = {v: np.geomspace(_SUP_LAMBDA_MIN, v, _SUP_GRID_POINTS) for v in set(lam_max.tolist())}
     grid = np.array([grids[v] for v in lam_max.tolist()])
     # axis 1 is the sign of t: + then -
     lams = np.stack((grid, -grid), axis=1)
@@ -530,12 +512,15 @@ def subgaussian_norm_numeric(
         raise DomainError("log-MGF curve is not finite on the search window")
     i = np.argmax(g, axis=2)[..., None]
     g_best = np.take_along_axis(g, i, 2)[..., 0]
-    last = cfg.grid_points - 1
+    last = _SUP_GRID_POINTS - 1
     ends = np.concatenate((np.take_along_axis(lams, np.maximum(i - 1, 0), 2),
                            np.take_along_axis(lams, np.minimum(i + 1, last), 2)), axis=2)
+    lo, hi = ends.min(axis=2), ends.max(axis=2)
+    # past |t| = 2048 (a hint's window) the floats are too sparse for
+    # _SUP_TOL; there a bracket of four float spacings is converged
+    tol = np.maximum(_SUP_TOL, 4.0 * np.spacing(np.maximum(-lo, hi)))
     res = golden_section_argmax(
-        lambda t: curve(t) / (t * t), ends.min(axis=2), ends.max(axis=2),
-        tol=cfg.tol, max_iter=cfg.max_iter,
+        lambda t: curve(t) / (t * t), lo, hi, tol=tol, max_iter=_SUP_MAX_ITER,
     )
     if not res.converged.all():
         k = int(np.argmin(res.converged))
@@ -573,28 +558,19 @@ def moment_abs(ind: IndicatorLike, s: float) -> float:
     return math.exp(np.logaddexp(lp + s * lq, lq + s * lp) / s)
 
 
-def gls_norm(
-    ind: IndicatorLike,
-    s_max: float | None = None,
-    grid_points: int = 512,
-) -> float:
+def gls_norm(ind: IndicatorLike) -> float:
     """Moment-growth norm sup over s >= 1 of |X|_s / sqrt(s).
 
     Equivalent to the subgaussian norm up to universal constant factors.
-    Maximizes on a log-spaced s grid (default upper end
-    max(8, 4 |log min(p, 1-p)|), sized so the interior maximum
-    ~ 2 |log min(p, 1-p)| is covered) with golden-section refinement.
-    Warns when the maximizer lands on the s_max boundary, which signals a
-    window too small for the requested p.
+    Maximizes on a 512-point log-spaced s grid up to
+    max(8, 4 |log min(p, 1-p)|), which holds the interior maximum
+    ~ 2 |log min(p, 1-p)|, with golden-section refinement.
     """
     indicator = as_indicator(ind)
     p = indicator.p
     if p == 0.0 or p == 1.0:
         return 0.0
-    if s_max is None:
-        s_max = max(8.0, 4.0 * abs(math.log(min(p, 1.0 - p))))
-    if not (math.isfinite(s_max) and s_max > 1.0):
-        raise DomainError(f"s_max must exceed 1, got {s_max!r}")
+    s_max = max(8.0, 4.0 * abs(math.log(min(p, 1.0 - p))))
     lp = math.log(p)
     lq = math.log1p(-p)
 
@@ -603,21 +579,13 @@ def gls_norm(
         s = np.exp(t)
         return np.logaddexp(lp + s * lq, lq + s * lp) / s - 0.5 * t
 
-    ts = np.linspace(0.0, math.log(s_max), grid_points)
+    ts = np.linspace(0.0, math.log(s_max), 512)
     vals = log_f(ts)
     i = int(np.argmax(vals))
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, len(ts) - 1)]
     res = golden_section_argmax(log_f, lo, hi, tol=1e-12)
-    best = max(float(vals[i]), res.value)
-    if i == len(ts) - 1:
-        warnings.warn(
-            f"moment-growth sup attained at the s_max = {s_max} boundary; "
-            "increase s_max",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return math.exp(best)
+    return math.exp(max(float(vals[i]), res.value))
 
 
 def noncentered_norm(centered: SubgaussianNorm | float, mean: float) -> SubgaussianNorm:
@@ -647,6 +615,8 @@ def tail_bound_from_norm(tau: SubgaussianNorm | float, x):
     x is a float or an array of thresholds; an array gives an array of its
     shape, each element bitwise its own float call (math.exp per element,
     so no bit depends on numpy's exp), and an error names the first bad x.
+    A norm outside [2^-500, 2^500] is scaled with x by a power of two, so
+    tiny and huge norms give the bound of their scaled-down problem.
     """
     t = tau.value if isinstance(tau, SubgaussianNorm) else float(tau)
     if math.isnan(t) or t < 0.0:
@@ -658,8 +628,12 @@ def tail_bound_from_norm(tau: SubgaussianNorm | float, x):
         raise DomainError(f"threshold must be a finite x >= 0, got {got!r}")
     if t == 0.0 and (xs > 0.0).any():
         raise DomainError("tail bound undefined for zero norm at positive x")
+    flat = xs.ravel()
+    k = 0 if 2.0 ** -500 <= t <= 2.0 ** 500 else math.frexp(t)[1]
+    if k:  # 4 t^2 would leave the normal range; a power of two scales exactly
+        t, flat = math.ldexp(t, -k), np.ldexp(flat, -k)
     denom = 4.0 * t * t
-    vals = [math.exp(-(v * v) / denom) if v else 1.0 for v in xs.ravel().tolist()]
+    vals = [math.exp(-(v * v) / denom) if v else 1.0 for v in flat.tolist()]
     return np.array(vals).reshape(xs.shape) if xs.ndim else vals[0]
 
 

@@ -39,12 +39,13 @@ def golden_section_argmax(
     ``converged`` flag together with the achieved interval ``width``;
     callers that require convergence should check the flag.
 
-    ``lo`` and ``hi`` may also be arrays of one shape: then one search runs
-    per element, in lockstep, and ``fn`` maps an array of points of that
-    shape to their values element by element.  argmax, value, width and
-    converged come back as arrays of that shape, each element bitwise that
-    of its own scalar search, because an element freezes once it converges
-    (``fn`` still sees its last point, and that value is discarded).
+    ``lo`` and ``hi``, and ``tol``, may also be arrays of one shape: then
+    one search runs per element, in lockstep, and ``fn`` maps an array of
+    points of that shape to their values element by element.  argmax,
+    value, width and converged come back as arrays of that shape, each
+    element bitwise that of its own scalar search, because an element
+    freezes once it converges (``fn`` still sees its last point, and that
+    value is discarded).
     ``iterations`` is the number of section steps the batch took, that of
     its slowest element; ``fn`` is called that many times plus two.
     """

@@ -16,7 +16,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .core import LogMgfCurve, ProbabilityLike, _probability_array, log_mgf_values
+from .core import LogMgfCurve, ProbabilityLike, _log_odds, _probability_array, log_mgf_values
 from .errors import CapExceededError, DependenceError, DomainError
 from .parallel import ordered_map
 from .sums import WeightedIndicatorSum
@@ -311,10 +311,11 @@ def exhaustive_weighted_tail(
     return _sorted_tail(values[order], probs[order], x, side, strict)
 
 
-def wilson_interval(successes: int, n: int, z: float = WILSON_Z_99) -> tuple[float, float]:
-    """Wilson-score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson-score 99% interval (z = WILSON_Z_99) for a binomial proportion."""
     if n < 1 or successes < 0 or successes > n:
         raise DomainError(f"invalid counts {successes}/{n}")
+    z = WILSON_Z_99
     phat = successes / n
     z2n = z * z / n
     denom = 1.0 + z2n
@@ -431,13 +432,19 @@ def exact_sum_log_mgf(s: WeightedIndicatorSum, lam) -> np.ndarray:
     return total
 
 
-def sum_log_mgf_curve(s: WeightedIndicatorSum, scale: float = 1.0):
-    """LogMgfCurve of scale * sum, with its exact variance attached."""
-    scaled = s.scaled(scale) if scale != 1.0 else s
-    c, p = scaled.coeffs, scaled.p_values
+def sum_log_mgf_curve(s: WeightedIndicatorSum) -> LogMgfCurve:
+    """LogMgfCurve of the sum, with its exact variance and a search hint.
+
+    Term j, c(j) X(j), peaks in g at t(j) = 2 log_odds(p(j)) / c(j) or is
+    monotone on each sign of t, so g of the sum falls past the largest
+    |t(j)|; the hint is four times that, the indicator curve's rule.
+    """
+    c, p = s.coeffs, s.p_values
     variance = math.fsum((c * c * p * (1.0 - p)).tolist())
+    live = (p > 0.0) & (p < 1.0) & (c != 0.0)
+    peaks = np.abs(2.0 * _log_odds(p[live]) / c[live])
     return LogMgfCurve(
-        fn=lambda lam: exact_sum_log_mgf(scaled, lam),
+        fn=lambda lam: exact_sum_log_mgf(s, lam),
         variance=variance,
-        lambda_hint=None,
+        lambda_hint=4.0 * float(peaks.max(initial=0.0)),
     )

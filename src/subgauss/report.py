@@ -158,7 +158,7 @@ def build_bound_report(
     mcs = monte_carlo_tail(s, xs, mc_samples, seed) if exact_method == "mc" else empty
     exacts = empty if table is None else [exact_tail(table, x) for x in xs]
     fair = s.independent and s.unit_coeffs and (s.p_values == 0.5).all()
-    hoeffs = [hoeffding_reference_tail(n, 2.0 * x / math.sqrt(n)) for x in xs] if fair else empty
+    hoeffs = [hoeffding_reference_tail(2.0 * x / math.sqrt(n)) for x in xs] if fair else empty
     bounds = tail_bound_from_norm(bound.value, xs).tolist()
 
     metadata = {

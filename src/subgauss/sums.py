@@ -169,7 +169,9 @@ def norm_bound_independent(s: WeightedIndicatorSum) -> SumNormBound:
     Never exceeds the triangle bound.  Refuses sums declared dependent.
     Squares are taken as v * v, which IEEE 754 rounds correctly; libm
     pow (behind ** 2) need not, and a misrounded square would break the
-    bitwise identity bound(2 s) == 2 bound(s).
+    bitwise identity bound(2 s) == 2 bound(s).  Term norms whose largest
+    lies outside [2^-500, 2^500] are scaled by a power of two before
+    squaring, so their squares neither underflow nor overflow.
     """
     if not s.independent:
         raise DependenceError(
@@ -177,8 +179,12 @@ def norm_bound_independent(s: WeightedIndicatorSum) -> SumNormBound:
             "use norm_bound_dependent for arbitrary dependence"
         )
     v = _term_norms(s)
-    value = math.fsum(memoryview(v * v))
-    return SumNormBound(math.sqrt(value), BoundKind.QUADRATIC_INDEPENDENT)
+    top = float(v.max())
+    k = 0 if 2.0 ** -500 <= top <= 2.0 ** 500 else math.frexp(top)[1]
+    if k:
+        v = np.ldexp(v, -k)
+    value = math.ldexp(math.sqrt(math.fsum(memoryview(v * v))), k)
+    return SumNormBound(value, BoundKind.QUADRATIC_INDEPENDENT)
 
 
 def best_norm_bound(s: WeightedIndicatorSum) -> SumNormBound:
@@ -198,14 +204,12 @@ def sum_tail_bound(s: WeightedIndicatorSum, x):
     return tail_bound_from_norm(bound.value, x)
 
 
-def hoeffding_reference_tail(n: int, x: float) -> float:
+def hoeffding_reference_tail(x: float) -> float:
     """Classical Hoeffding tail exp(-x^2 / 2) for the normalized fair-coin sum.
 
-    Applies to 2 S(n) / sqrt(n) with S(n) a sum of n centered fair coins;
-    n is accepted for interface symmetry, the bound itself is n-free.
+    Applies to 2 S(n) / sqrt(n) with S(n) a sum of n centered fair coins,
+    for every n.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"need a positive integer n, got {n!r}")
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"threshold must be a finite x >= 0, got {x!r}")
     return math.exp(-(x * x) / 2.0)

@@ -50,6 +50,9 @@ __all__ = [
 
 DEFAULT_DOMINATION_SEED = 20260818
 
+# Most terms in a random domination sum, each drawn with 1 to this many.
+_DOMINATION_M_MAX = 16
+
 # Largest |t| of the kearns-saul grid and of the argmax search brackets.
 _LAMBDA_MAX = 60.0
 # Tolerance of the argmax sweep's value check g(t*) = Q(p)^2.
@@ -206,7 +209,7 @@ def argmax_sweep(
 
 
 @functools.lru_cache(maxsize=1)
-def _domination_cases(seed: int, m_max: int, n_random: int,
+def _domination_cases(seed: int, n_random: int,
                       dp_sizes: tuple[int, ...]) -> tuple[tuple, ...]:
     """The domination sweep's sums in order, as (label, coeffs, probs):
     n_random random weighted sums, then three unit-weight sums per DP size.
@@ -217,7 +220,7 @@ def _domination_cases(seed: int, m_max: int, n_random: int,
     rng = np.random.default_rng(seed)
     cases = []
     for k in range(n_random):
-        m = int(rng.integers(1, m_max + 1))
+        m = int(rng.integers(1, _DOMINATION_M_MAX + 1))
         coeffs = rng.uniform(-2.0, 2.0, size=m)
         probs = rng.uniform(0.02, 0.98, size=m)
         cases.append((f"random[{k}] m={m}", coeffs, probs))
@@ -244,12 +247,12 @@ class _DominationPart(NamedTuple):
 
 
 def _check_domination(start: int, stop: int | None, n_random: int, seed: int,
-                      m_max: int, grid_points: int, dp_sizes: Sequence[int],
+                      grid_points: int, dp_sizes: Sequence[int],
                       tol: float) -> _DominationPart:
     """Check cases [start, stop) of domination_sweep (stop None: to the end)."""
     if grid_points < 1:
         raise DomainError(f"domination x grid is empty (grid_points = {grid_points})")
-    cases = _domination_cases(seed, m_max, n_random, tuple(dp_sizes))
+    cases = _domination_cases(seed, n_random, tuple(dp_sizes))
     worst, witness, violations, checked = -math.inf, {}, 0, 0
     for label, coeffs, probs in cases[start:stop]:
         s = WeightedIndicatorSum(coeffs, probs, independent=True)
@@ -287,20 +290,19 @@ def _domination_result(parts: Sequence[_DominationPart]) -> SweepResult:
 def domination_sweep(
     n_random: int = 500,
     seed: int = DEFAULT_DOMINATION_SEED,
-    m_max: int = 16,
     grid_points: int = 64,
     dp_sizes: Sequence[int] = (16, 128, 1024, 10_000),
     tol: float = 0.0,
 ) -> SweepResult:
     """Check exact tails never exceed the quadratic-bound tail.
 
-    Random weighted sums (enumeration oracle, m <= m_max) plus unit-weight
+    Random weighted sums (enumeration oracle, 1 to 16 terms) plus unit-weight
     sums up to the largest dp_sizes entry (DP oracle), each on a 64-point
     threshold grid spanning [0, ess sup].  Passes on zero violations of
     exact <= exp(-x^2 / (4 B^2)) + tol.
     """
     return _domination_result([_check_domination(
-        0, None, n_random, seed, m_max, grid_points, dp_sizes, tol
+        0, None, n_random, seed, grid_points, dp_sizes, tol
     )])
 
 

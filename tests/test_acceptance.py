@@ -93,23 +93,19 @@ def test_criterion_5_tail_domination():
 
 
 def test_criterion_6_scaled_sums_norm():
-    worst_eq = 0.0
-    worst_excess = -math.inf
-    for p in (0.1, 0.3, 0.5):
+    # the normalized iid sum has norm exactly Q(p) for every n; at n = 4096
+    # and p = 0.1 its maximizer t* = 281 lies past |t| = 60
+    worst, witness = 0.0, None
+    for p in (0.1, 0.3, 0.5, 0.9, 1e-6):
         q = q_norm(p).value
-        one = subgaussian_norm_numeric(
-            sum_log_mgf_curve(WeightedIndicatorSum.iid(1, p))
-        ).value
-        worst_eq = max(worst_eq, abs(one - q))
-        for n in (2, 4, 16, 256, 4096):
-            curve = sum_log_mgf_curve(
-                WeightedIndicatorSum.iid(n, p), scale=1.0 / math.sqrt(n)
-            )
-            got = subgaussian_norm_numeric(curve).value
-            worst_excess = max(worst_excess, got - q)
-    ok = worst_eq <= 1e-8 and worst_excess <= 1e-8
-    report(6, ok, f"scaled iid sums: single-term norm off by {worst_eq:.2e} "
-                  f"(tol 1e-8); max excess over Q(p) {worst_excess:.2e} (tol 1e-8)")
+        for n in (1, 2, 4, 16, 256, 4096):
+            s = WeightedIndicatorSum.iid(n, p).scaled(1.0 / math.sqrt(n))
+            err = abs(subgaussian_norm_numeric(sum_log_mgf_curve(s)).value - q)
+            if err >= worst:
+                worst, witness = err, (p, n)
+    ok = worst <= 1e-8
+    report(6, ok, f"scaled iid sums: norm off Q(p) by at most {worst:.2e} "
+                  f"at (p, n) = {witness} (tol 1e-8)")
     assert ok
 
 

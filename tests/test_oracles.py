@@ -29,6 +29,8 @@ from subgauss import (
     log_mgf_values,
     monte_carlo_tail,
     poisson_binomial_table,
+    q_norm,
+    subgaussian_norm_numeric,
     sum_log_mgf_curve,
     tail_curve,
     wilson_interval,
@@ -760,7 +762,7 @@ class TestSumLogMgf:
     def test_curve_scaling(self):
         # curve of S/sqrt(n) at t equals curve of S at t/sqrt(n)
         s = WeightedIndicatorSum.iid(4, 0.3)
-        c_scaled = sum_log_mgf_curve(s, scale=0.5)
+        c_scaled = sum_log_mgf_curve(s.scaled(0.5))
         c_plain = sum_log_mgf_curve(s)
         assert c_scaled.at(2.0) == pytest.approx(c_plain.at(1.0), rel=1e-15)
 
@@ -772,6 +774,19 @@ class TestSumLogMgf:
     def test_curve_vanishes_at_zero(self):
         s = WeightedIndicatorSum.iid(50, 0.2)
         assert sum_log_mgf_curve(s).at(0.0) == 0.0
+
+    @pytest.mark.parametrize("c", [0.01, 1e-4, 1e-100])
+    def test_curve_hint_reaches_a_small_weight_maximizer(self, c):
+        # c X has its maximizer at t* = 2 log(9) / c: 439 for c = 0.01, past
+        # |t| = 60, and past |t| = 2048, where floats are sparser than 1e-12
+        s = WeightedIndicatorSum([c], [0.1])
+        got = subgaussian_norm_numeric(sum_log_mgf_curve(s)).value
+        assert got == pytest.approx(c * q_norm(0.1).value, rel=1e-12)
+
+    def test_curve_hint_skips_null_terms(self):
+        s = WeightedIndicatorSum([0.0, 2.0, 5.0, 1.0], [0.3, 0.1, 0.0, 1.0])
+        assert sum_log_mgf_curve(s).lambda_hint == pytest.approx(4.0 * math.log(9.0), rel=1e-15)
+        assert sum_log_mgf_curve(WeightedIndicatorSum([3.0], [0.0])).lambda_hint == 0.0
 
 
 class TestTailLayerErrors:

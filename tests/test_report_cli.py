@@ -268,7 +268,7 @@ class TestExactLaw:
 
     def test_domination_cases_use_dp_exactly_for_dp_labels(self, tables):
         defaults = inspect.signature(domination_sweep).parameters
-        args = [defaults[name].default for name in ("seed", "m_max", "n_random")]
+        args = [defaults[name].default for name in ("seed", "n_random")]
         cases = _domination_cases(*args, tuple(defaults["dp_sizes"].default))
         assert any(label.startswith("dp n=") for label, _, _ in cases)
         for label, coeffs, probs in cases:
@@ -392,6 +392,22 @@ class TestCliBound:
         doc = json.loads(r.stdout)
         assert doc["metadata"]["exact_method"] == "dp"
         assert doc["metadata"]["n_terms"] == 3
+
+    @pytest.mark.parametrize("dependent", [[], ["--dependent"]], ids=["independent", "dependent"])
+    def test_tiny_coefficient_bounds_at_its_scale(self, dependent):
+        # c^2 and 4 B^2 underflow below about 1e-154 unless rescaled
+        args = ["--coeffs", "1e-170", "--probs", "0.5", "--x-grid", "0,1", *dependent]
+        r = run_cli("bound", *args, "--format", "json")
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(r.stdout)
+        assert doc["metadata"]["bound_norm"] == 3.535533905932738e-171
+        assert [row["subgaussian_bound"] for row in doc["rows"]] == [1.0, 0.0]
+
+    def test_huge_coefficient_warns_nothing(self):
+        # c^2 overflows above about 1e154 unless rescaled
+        r = run_cli("bound", "--coeffs", "1e160", "--probs", "0.5", "--format", "json")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert json.loads(r.stdout)["metadata"]["bound_norm"] == 3.535533905932738e+159
 
     def test_all_null_terms_grid_is_zero(self):
         # the sum is almost surely 0, so its default grid collapses to x = 0

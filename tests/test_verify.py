@@ -131,7 +131,7 @@ def test_summary_lines_name_the_suite():
     assert "pass" in line
 
 
-def serial_domination(n_random, seed, grid_points, m_max=16,
+def serial_domination(n_random, seed, grid_points,
                       dp_sizes=(16, 128, 1024, 10_000), tol=0.0):
     """The domination sweep as one scan, as it stood before it was split."""
     rng = np.random.default_rng(seed)
@@ -153,7 +153,7 @@ def serial_domination(n_random, seed, grid_points, m_max=16,
             witness = {"sum": label, "x": float(xs[i]), "bound_norm": b}
 
     for k in range(n_random):
-        m = int(rng.integers(1, m_max + 1))
+        m = int(rng.integers(1, 17))
         s = WeightedIndicatorSum(rng.uniform(-2.0, 2.0, size=m),
                                  rng.uniform(0.02, 0.98, size=m))
         check(exhaustive_outcome_table(s), s, f"random[{k}] m={s.n_terms}")
@@ -183,7 +183,7 @@ def test_domination_tasks_cover_the_cases_in_order(monkeypatch):
     tasks = _tasks("domination", kwargs)
     assert [task[2] for task in tasks] == [(0, 50), (50, 100), (100, 120)] + [
         (k, k + 1) for k in range(120, 126)]
-    labels = [case[0] for case in _domination_cases(3, 16, 120, (16, 128))]
+    labels = [case[0] for case in _domination_cases(3, 120, (16, 128))]
     rng = np.random.default_rng(3)
     for k in range(120):
         m = int(rng.integers(1, 17))
@@ -201,7 +201,6 @@ def test_domination_tasks_cover_the_cases_in_order(monkeypatch):
 
 @pytest.mark.parametrize("kwargs,error", [
     ({"seed": -1}, ValueError),
-    ({"m_max": 0}, ValueError),
     ({"seed": -1, "grid_points": 0}, DomainError),
     ({"no_such_option": 1}, TypeError),
 ])
@@ -254,7 +253,7 @@ def test_domination_checks_the_package_tail_bound(monkeypatch):
 
     monkeypatch.setattr(verify_module, "tail_bound_from_norm", spy)
     domination_sweep(n_random=20, dp_sizes=(16,), grid_points=16)
-    cases = _domination_cases(DEFAULT_DOMINATION_SEED, 16, 20, (16,))
+    cases = _domination_cases(DEFAULT_DOMINATION_SEED, 20, (16,))
     assert len(calls) == len(cases) == 23
     for (tau, xs), (_, coeffs, probs) in zip(calls, cases):
         s = WeightedIndicatorSum(coeffs, probs)
@@ -271,7 +270,7 @@ def gamma(k):
 def test_tail_curve_within_its_stated_bound():
     # the first 100 random domination sums and the three dp n=1024 sums;
     # measured worst gap 2.61e-15 at random[74] m=16
-    cases = _domination_cases(DEFAULT_DOMINATION_SEED, 16, 500, (16, 128, 1024, 10_000))
+    cases = _domination_cases(DEFAULT_DOMINATION_SEED, 500, (16, 128, 1024, 10_000))
     worst = (0.0, None)
     for label, coeffs, probs in cases[:100] + cases[506:509]:
         s = WeightedIndicatorSum(coeffs, probs)
