@@ -43,7 +43,6 @@ __all__ = [
     "SubgaussianNorm",
     "LogMgfCurve",
     "as_probability",
-    "as_indicator",
     "q_norm",
     "q_asymptotic",
     "mgf",
@@ -101,6 +100,15 @@ def _real_array(values, what: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
+def _check_probabilities(ps: np.ndarray) -> np.ndarray:
+    """ps itself if every element lies in [0, 1]; else names the first bad one."""
+    bad = ~((ps >= 0.0) & (ps <= 1.0))
+    if bad.any():
+        first = float(ps.flat[np.argmax(bad)])
+        raise DomainError(f"probability must lie in [0, 1], got {first!r}")
+    return ps
+
+
 @dataclass(frozen=True)
 class Probability(object):
     """A success probability in [0, 1]; rejects NaN and out-of-range values."""
@@ -111,10 +119,7 @@ class Probability(object):
         p = _real_array(self.p, "probability")
         if p.ndim:
             raise DomainError(f"probability must be a real number, got {self.p!r}")
-        p = float(p)
-        if math.isnan(p) or p < 0.0 or p > 1.0:
-            raise DomainError(f"probability must lie in [0, 1], got {p!r}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", float(_check_probabilities(p)))
 
     @property
     def log_odds(self) -> float:
@@ -126,23 +131,16 @@ class Probability(object):
         return 1.0 - self.p
 
 
-ProbabilityLike = Union["Probability", float, int]
+ProbabilityLike = Union["Probability", "CenteredIndicator", float, int]
 
 
 def as_probability(p: ProbabilityLike) -> Probability:
-    """Coerce a real number (see _real_array) or Probability to a Probability."""
+    """Coerce a real number (see _real_array), Probability or CenteredIndicator."""
     if isinstance(p, Probability):
         return p
+    if isinstance(p, CenteredIndicator):
+        return p.prob
     return Probability(p)
-
-
-def _check_probabilities(ps: np.ndarray) -> np.ndarray:
-    """ps itself if every element lies in [0, 1]; else names the first bad one."""
-    bad = ~((ps >= 0.0) & (ps <= 1.0))
-    if bad.any():
-        first = float(ps.flat[np.argmax(bad)])
-        raise DomainError(f"probability must lie in [0, 1], got {first!r}")
-    return ps
 
 
 def _probability_array(probs) -> np.ndarray:
@@ -158,11 +156,13 @@ def _probability_array(probs) -> np.ndarray:
 
 
 class NormMethod(enum.Enum):
-    """How a subgaussian norm value was obtained."""
+    """How a subgaussian norm value was obtained (the last two: sum bounds)."""
 
     CLOSED_FORM = "closed_form"
     NUMERIC_SUP = "numeric_sup"
     BOUND_ONLY = "bound_only"
+    TRIANGLE_DEPENDENT = "triangle_dependent"
+    QUADRATIC_INDEPENDENT = "quadratic_independent"
 
 
 @dataclass(frozen=True)
@@ -213,16 +213,6 @@ class CenteredIndicator(object):
     def log_mgf_curve(self) -> "LogMgfCurve":
         """The exact log-MGF of this variable as a reusable curve object."""
         return _indicator_curve(self.prob.p)
-
-
-IndicatorLike = Union[CenteredIndicator, Probability, float, int]
-
-
-def as_indicator(ind: IndicatorLike) -> CenteredIndicator:
-    """Coerce a float, Probability, or CenteredIndicator to an indicator."""
-    if isinstance(ind, CenteredIndicator):
-        return ind
-    return CenteredIndicator(as_probability(ind))
 
 
 @dataclass(frozen=True)
@@ -396,17 +386,17 @@ def g_values(p, lam) -> np.ndarray:
     return _log_mgf_kernel(p, lam, over_t2=True)
 
 
-def log_mgf(ind: IndicatorLike, lam: float) -> float:
+def log_mgf(ind: ProbabilityLike, lam: float) -> float:
     """log E exp(t * X) at a single t; finite for every finite t."""
-    indicator = as_indicator(ind)
+    prob = as_probability(ind)
     if not math.isfinite(lam):
         raise DomainError(f"t must be finite, got {lam!r}")
     if lam == 0.0:
         return 0.0
-    return float(log_mgf_values(indicator.prob, lam))
+    return float(log_mgf_values(prob, lam))
 
 
-def mgf(ind: IndicatorLike, lam: float) -> float:
+def mgf(ind: ProbabilityLike, lam: float) -> float:
     """E exp(t * X) = p exp(t(1-p)) + (1-p) exp(-tp).
 
     Raises MgfOverflowError when the value exceeds the float range even
@@ -461,6 +451,12 @@ def g_value(p: ProbabilityLike, lam: float, limit_at_zero: bool = False) -> floa
     return float(g_values(prob, lam))
 
 
+def _binary_scale(v: float) -> int:
+    """0 for v in [2^-500, 2^500], else k with v = m 2^k, 1/2 <= m < 1:
+    the power of two that brings v, and so v^2, back into the float range."""
+    return 0 if 2.0 ** -500 <= v <= 2.0 ** 500 else math.frexp(v)[1]
+
+
 # The numeric norm's grid window and points per sign, and its refinement.
 _SUP_LAMBDA_MIN = 1e-8
 _SUP_LAMBDA_MAX = 60.0
@@ -478,7 +474,10 @@ def subgaussian_norm_numeric(curve: LogMgfCurve) -> SubgaussianNorm | list[Subga
     includes the exact t -> 0 variance limit as a candidate when the curve
     declares its variance.  The reported value is a lower bound of the true
     supremum; for unimodal g inside the window it matches the supremum to
-    roughly the accuracy of the curve evaluations themselves.
+    roughly the accuracy of the curve evaluations themselves.  A window
+    past 2^500 (a sum with a weight below about 1e-150) reads g
+    scaled by a power of two, so that squares stay in range; an infinite
+    hint, or a curve too wide for one scaling, raises DomainError.
 
     A batch curve (``rows`` = R) gives a list of R norms, one per row, from
     one grid evaluation and one lockstep golden-section search over all
@@ -503,11 +502,25 @@ def subgaussian_norm_numeric(curve: LogMgfCurve) -> SubgaussianNorm | list[Subga
     if curve.lambda_hint is not None:
         hint = per_row(curve.lambda_hint)
         lam_max = np.where(hint > lam_max, hint, lam_max)
+    if not np.all(np.isfinite(lam_max)):
+        raise DomainError(f"lambda_hint must be finite, got {float(lam_max.max())!r}")
+    # past 2^500, g reads 4^j g = curve / (t 2^-j)^2, the window's end at 2^400 (room
+    # below for larger weights); a log-MGF value below the normal range is noise: g = 0
+    j = np.array([max(_binary_scale(v) - 400, 0) for v in lam_max.tolist()])
+    tiny, scaled = sys.float_info.min, j[:, None] > 0
+
+    def scaled_g(t: np.ndarray) -> np.ndarray:  # t is (rows, n)
+        lmgf, sq = curve(t), np.square(np.ldexp(t, -j[:, None]))
+        keep = ~scaled | (np.abs(lmgf) >= tiny)
+        if np.any(keep & scaled & (sq < tiny)):
+            raise DomainError("log-MGF curve spans more scales than one search window holds")
+        return np.divide(lmgf, sq, out=np.zeros(sq.shape), where=keep)
+
     grids = {v: np.geomspace(_SUP_LAMBDA_MIN, v, _SUP_GRID_POINTS) for v in set(lam_max.tolist())}
     grid = np.array([grids[v] for v in lam_max.tolist()])
     # axis 1 is the sign of t: + then -
     lams = np.stack((grid, -grid), axis=1)
-    g = curve(lams.reshape(rows, -1)).reshape(lams.shape) / (lams * lams)
+    g = scaled_g(lams.reshape(rows, -1)).reshape(lams.shape)
     if not np.all(np.isfinite(g)):
         raise DomainError("log-MGF curve is not finite on the search window")
     i = np.argmax(g, axis=2)[..., None]
@@ -519,9 +532,7 @@ def subgaussian_norm_numeric(curve: LogMgfCurve) -> SubgaussianNorm | list[Subga
     # past |t| = 2048 (a hint's window) the floats are too sparse for
     # _SUP_TOL; there a bracket of four float spacings is converged
     tol = np.maximum(_SUP_TOL, 4.0 * np.spacing(np.maximum(-lo, hi)))
-    res = golden_section_argmax(
-        lambda t: curve(t) / (t * t), lo, hi, tol=tol, max_iter=_SUP_MAX_ITER,
-    )
+    res = golden_section_argmax(scaled_g, lo, hi, tol=tol, max_iter=_SUP_MAX_ITER)
     if not res.converged.all():
         k = int(np.argmin(res.converged))
         raise ConvergenceError(
@@ -529,28 +540,27 @@ def subgaussian_norm_numeric(curve: LogMgfCurve) -> SubgaussianNorm | list[Subga
             f"after {res.iterations} iterations"
         )
 
-    best = per_row(-math.inf)
-    if curve.variance is not None:
-        best = 0.5 * per_row(curve.variance)
+    # the t -> 0 limit; a subnormal variance lacks the digits a scaled row needs
+    var = per_row(-math.inf if curve.variance is None else curve.variance)
+    best = np.where((j > 0) & (var < tiny), -math.inf, np.ldexp(0.5 * var, 2 * j))
     # max(best, x) in the order of a one-sign-at-a-time scan
     for sign in (0, 1):
         for x in (g_best[:, sign], res.value[:, sign]):
             best = np.where(x > best, x, best)
-    values = np.sqrt(np.where(0.0 > best, 0.0, best)).tolist()
+    values = np.ldexp(np.sqrt(np.where(0.0 > best, 0.0, best)), -j).tolist()
     norms = [SubgaussianNorm(v, NormMethod.NUMERIC_SUP) for v in values]
     return norms[0] if curve.rows is None else norms
 
 
-def moment_abs(ind: IndicatorLike, s: float) -> float:
+def moment_abs(ind: ProbabilityLike, s: float) -> float:
     """Absolute moment norm |X|_s = (E |X|^s)^(1/s), s >= 1.
 
     For the centered indicator this is (p (1-p)^s + (1-p) p^s)^(1/s),
     evaluated in log space so large s cannot underflow term-by-term.
     """
-    indicator = as_indicator(ind)
+    p = as_probability(ind).p
     if not (math.isfinite(s) and s >= 1.0):
         raise DomainError(f"moment order must satisfy s >= 1, got {s!r}")
-    p = indicator.p
     if p == 0.0 or p == 1.0:
         return 0.0
     lp = math.log(p)
@@ -558,7 +568,7 @@ def moment_abs(ind: IndicatorLike, s: float) -> float:
     return math.exp(np.logaddexp(lp + s * lq, lq + s * lp) / s)
 
 
-def gls_norm(ind: IndicatorLike) -> float:
+def gls_norm(ind: ProbabilityLike) -> float:
     """Moment-growth norm sup over s >= 1 of |X|_s / sqrt(s).
 
     Equivalent to the subgaussian norm up to universal constant factors.
@@ -566,8 +576,7 @@ def gls_norm(ind: IndicatorLike) -> float:
     max(8, 4 |log min(p, 1-p)|), which holds the interior maximum
     ~ 2 |log min(p, 1-p)|, with golden-section refinement.
     """
-    indicator = as_indicator(ind)
-    p = indicator.p
+    p = as_probability(ind).p
     if p == 0.0 or p == 1.0:
         return 0.0
     s_max = max(8.0, 4.0 * abs(math.log(min(p, 1.0 - p))))
@@ -595,10 +604,8 @@ def noncentered_norm(centered: SubgaussianNorm | float, mean: float) -> Subgauss
     inherited from the centered input; a bare float is treated as an exact
     closed-form value.
     """
-    if isinstance(centered, SubgaussianNorm):
-        value, method = centered.value, centered.method
-    else:
-        value, method = float(centered), NormMethod.CLOSED_FORM
+    value = float(centered)
+    method = centered.method if isinstance(centered, SubgaussianNorm) else NormMethod.CLOSED_FORM
     if not (math.isfinite(value) and value >= 0.0):
         raise DomainError(f"centered norm must be a nonnegative real, got {value!r}")
     if not math.isfinite(mean):
@@ -618,7 +625,7 @@ def tail_bound_from_norm(tau: SubgaussianNorm | float, x):
     A norm outside [2^-500, 2^500] is scaled with x by a power of two, so
     tiny and huge norms give the bound of their scaled-down problem.
     """
-    t = tau.value if isinstance(tau, SubgaussianNorm) else float(tau)
+    t = float(tau)
     if math.isnan(t) or t < 0.0:
         raise DomainError(f"norm must be a nonnegative real, got {tau!r}")
     xs = np.asarray(x, dtype=float)
@@ -629,7 +636,7 @@ def tail_bound_from_norm(tau: SubgaussianNorm | float, x):
     if t == 0.0 and (xs > 0.0).any():
         raise DomainError("tail bound undefined for zero norm at positive x")
     flat = xs.ravel()
-    k = 0 if 2.0 ** -500 <= t <= 2.0 ** 500 else math.frexp(t)[1]
+    k = _binary_scale(t)
     if k:  # 4 t^2 would leave the normal range; a power of two scales exactly
         t, flat = math.ldexp(t, -k), np.ldexp(flat, -k)
     denom = 4.0 * t * t

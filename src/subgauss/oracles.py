@@ -442,7 +442,8 @@ def sum_log_mgf_curve(s: WeightedIndicatorSum) -> LogMgfCurve:
     c, p = s.coeffs, s.p_values
     variance = math.fsum((c * c * p * (1.0 - p)).tolist())
     live = (p > 0.0) & (p < 1.0) & (c != 0.0)
-    peaks = np.abs(2.0 * _log_odds(p[live]) / c[live])
+    with np.errstate(over="ignore"):  # an inf hint is refused by the numeric norm
+        peaks = np.abs(2.0 * _log_odds(p[live]) / c[live])
     return LogMgfCurve(
         fn=lambda lam: exact_sum_log_mgf(s, lam),
         variance=variance,

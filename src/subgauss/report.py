@@ -159,14 +159,14 @@ def build_bound_report(
     exacts = empty if table is None else [exact_tail(table, x) for x in xs]
     fair = s.independent and s.unit_coeffs and (s.p_values == 0.5).all()
     hoeffs = [hoeffding_reference_tail(2.0 * x / math.sqrt(n)) for x in xs] if fair else empty
-    bounds = tail_bound_from_norm(bound.value, xs).tolist()
+    bounds = tail_bound_from_norm(bound, xs).tolist()
 
     metadata = {
         "terms_digest": _terms_digest(s),
         "terms_digest_version": TERMS_DIGEST_VERSION,
         "n_terms": s.n_terms,
         "independent": s.independent,
-        "bound_kind": bound.kind.value,
+        "bound_kind": bound.method.value,
         "bound_norm": bound.value,
         "exact_method": exact_method,
         "seed": seed if exact_method == "mc" else None,

@@ -16,21 +16,18 @@ Hoeffding tail exp(-x^2 / 2) after the usual sqrt(n)/2 rescaling.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import ProbabilityLike, _probability_array, _q_squared, _real_array
-from .core import tail_bound_from_norm
+from .core import NormMethod, ProbabilityLike, SubgaussianNorm, _binary_scale
+from .core import _probability_array, _q_squared, _real_array, tail_bound_from_norm
 from .core import q_norm  # noqa: F401 -- unused, but perfbench/trace_cli.py rebinds it
 from .errors import DependenceError, DomainError
 
 __all__ = [
-    "BoundKind",
-    "SumNormBound",
     "WeightedIndicatorSum",
     "norm_bound_dependent",
     "norm_bound_independent",
@@ -38,32 +35,6 @@ __all__ = [
     "sum_tail_bound",
     "hoeffding_reference_tail",
 ]
-
-
-class BoundKind(enum.Enum):
-    """Which mixture inequality produced a sum norm bound."""
-
-    TRIANGLE_DEPENDENT = "triangle_dependent"
-    QUADRATIC_INDEPENDENT = "quadratic_independent"
-
-
-@dataclass(frozen=True)
-class SumNormBound(object):
-    """An upper bound on the subgaussian norm of a weighted sum."""
-
-    value: float
-    kind: BoundKind
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, BoundKind):
-            raise DomainError(f"kind must be a BoundKind, got {self.kind!r}")
-        v = float(self.value)
-        if math.isnan(v) or v < 0.0:
-            raise DomainError(f"bound must be a nonnegative real, got {v!r}")
-        object.__setattr__(self, "value", v)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,15 +126,16 @@ def _term_norms(s: WeightedIndicatorSum) -> np.ndarray:
     return np.abs(s.coeffs) * np.sqrt(_q_squared(s.p_values))
 
 
-def norm_bound_dependent(s: WeightedIndicatorSum) -> SumNormBound:
+def norm_bound_dependent(s: WeightedIndicatorSum) -> SubgaussianNorm:
     """Triangle bound sum |c(j)| Q(p(j)); valid under arbitrary dependence.
 
     fsum accumulation makes the value independent of term order.
     """
-    return SumNormBound(math.fsum(memoryview(_term_norms(s))), BoundKind.TRIANGLE_DEPENDENT)
+    return SubgaussianNorm(math.fsum(memoryview(_term_norms(s))),
+                           NormMethod.TRIANGLE_DEPENDENT)
 
 
-def norm_bound_independent(s: WeightedIndicatorSum) -> SumNormBound:
+def norm_bound_independent(s: WeightedIndicatorSum) -> SubgaussianNorm:
     """Quadratic bound sqrt(sum c(j)^2 Q(p(j))^2); needs independence.
 
     Never exceeds the triangle bound.  Refuses sums declared dependent.
@@ -179,15 +151,14 @@ def norm_bound_independent(s: WeightedIndicatorSum) -> SumNormBound:
             "use norm_bound_dependent for arbitrary dependence"
         )
     v = _term_norms(s)
-    top = float(v.max())
-    k = 0 if 2.0 ** -500 <= top <= 2.0 ** 500 else math.frexp(top)[1]
+    k = _binary_scale(float(v.max()))
     if k:
         v = np.ldexp(v, -k)
     value = math.ldexp(math.sqrt(math.fsum(memoryview(v * v))), k)
-    return SumNormBound(value, BoundKind.QUADRATIC_INDEPENDENT)
+    return SubgaussianNorm(value, NormMethod.QUADRATIC_INDEPENDENT)
 
 
-def best_norm_bound(s: WeightedIndicatorSum) -> SumNormBound:
+def best_norm_bound(s: WeightedIndicatorSum) -> SubgaussianNorm:
     """The sharpest available bound for the sum's declared dependence."""
     if s.independent:
         return norm_bound_independent(s)
@@ -200,8 +171,7 @@ def sum_tail_bound(s: WeightedIndicatorSum, x):
     Bounds max(P(sum > x), P(sum < -x)); x may be an array, as in
     tail_bound_from_norm.  Degenerate sums (B = 0) admit no bound at x > 0.
     """
-    bound = best_norm_bound(s)
-    return tail_bound_from_norm(bound.value, x)
+    return tail_bound_from_norm(best_norm_bound(s), x)
 
 
 def hoeffding_reference_tail(x: float) -> float:

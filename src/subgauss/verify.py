@@ -16,18 +16,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (
-    _indicator_curve,
-    _q_squared,
-    as_probability,
-    g_values,
-    lambda_star,
-    log_mgf_values,
-    q_norm,
-    subgaussian_norm_numeric,
-    tail_bound_from_norm,
-)
-from .core import g_value  # noqa: F401 -- unused, but perfbench/trace_cli.py rebinds it
+from .core import _indicator_curve, _log_odds, _probability_array, _q_squared, g_values
+from .core import log_mgf_values, subgaussian_norm_numeric, tail_bound_from_norm
+from .core import g_value, q_norm  # noqa: F401 -- unused, but perfbench/trace_cli.py rebinds them
 from .errors import DomainError
 from .optimize import golden_section_argmax
 from .parallel import process_map
@@ -138,20 +129,20 @@ def sharpness_sweep(
     value must land within tol of Q(p) on every tested p.  All p share one
     batched numeric supremum.
     """
-    if p_values is None:
-        p_values = _p_grid(99)
-    if len(p_values) == 0:
+    ps = _probability_array(_p_grid(99) if p_values is None else p_values)
+    if len(ps) == 0:
         raise DomainError("sharpness p grid is empty")
 
-    probs = [as_probability(p) for p in p_values]
-    numeric = subgaussian_norm_numeric(_indicator_curve(np.array([pr.p for pr in probs])))
-    errors = [abs(n.value - q_norm(pr).value) for n, pr in zip(numeric, probs)]
+    numeric = subgaussian_norm_numeric(_indicator_curve(ps))
+    # Q over the whole grid in one call, bitwise q_norm(p).value
+    qs = np.sqrt(_q_squared(ps)).tolist()
+    errors = [abs(n.value - q) for n, q in zip(numeric, qs)]
     worst_idx = int(np.argmax(errors))
     return SweepResult(
         suite="sharpness",
         passed=errors[worst_idx] <= tol,
         worst=errors[worst_idx],
-        witness={"p": float(p_values[worst_idx])},
+        witness={"p": float(ps[worst_idx])},
         detail=f"max |numeric - closed| over {len(errors)} p-values (tol {tol:g})",
     )
 
@@ -166,21 +157,20 @@ def argmax_sweep(
     extremal point.  p = 1/2 is excluded (t* = 0 is the limit case there).
     All p share one batched golden-section search.
     """
-    if p_values is None:
-        p_values = _p_grid(99, drop_half=True)
-    if len(p_values) == 0:
+    ps = _probability_array(_p_grid(99, drop_half=True) if p_values is None else p_values)
+    if len(ps) == 0:
         raise DomainError("argmax p grid is empty")
 
-    probs, lam0 = [], []
-    for p in p_values:
-        probs.append(as_probability(p))
-        lam0.append(lambda_star(probs[-1]))
-        if lam0[-1] == 0.0:
-            raise DomainError("argmax sweep excludes p = 0.5, where t* = 0")
-    ps = np.array([pr.p for pr in probs])
-    at_lam0 = g_values(ps, np.array(lam0)).tolist()
-    val_errs = [abs(g - q_norm(pr).value ** 2) for g, pr in zip(at_lam0, probs)]
-    positive = np.array(lam0) > 0.0
+    lam0 = 2.0 * _log_odds(ps)
+    bad = ps[(lam0 == 0.0) | np.isinf(lam0)].tolist()
+    if bad:
+        raise DomainError("argmax sweep excludes p = 0.5, where t* = 0" if bad[0] == 0.5
+                          else f"extremal point undefined at p = {bad[0]}")
+    at_lam0 = g_values(ps, lam0).tolist()
+    # q ** 2, not _q_squared: the reported value error keeps its bits
+    qs = np.sqrt(_q_squared(ps)).tolist()
+    val_errs = [abs(g - q ** 2) for g, q in zip(at_lam0, qs)]
+    positive = lam0 > 0.0
     res = golden_section_argmax(
         lambda t: g_values(ps, t),
         np.where(positive, 1e-6, -_LAMBDA_MAX),
@@ -188,7 +178,7 @@ def argmax_sweep(
         tol=1e-9,
         max_iter=300,
     )
-    arg_errs = [abs(x - t) for x, t in zip(res.argmax.tolist(), lam0)]
+    arg_errs = [abs(x - t) for x, t in zip(res.argmax.tolist(), lam0.tolist())]
     worst_idx = int(np.argmax(arg_errs))
     worst_val = max(val_errs)
     passed = arg_errs[worst_idx] <= tol_arg and worst_val <= _TOL_VAL
@@ -197,7 +187,7 @@ def argmax_sweep(
         passed=passed,
         worst=arg_errs[worst_idx],
         witness={
-            "p": float(p_values[worst_idx]),
+            "p": float(ps[worst_idx]),
             "argmax_err": arg_errs[worst_idx],
             "value_err": worst_val,
         },

@@ -428,6 +428,26 @@ class TestMomentNorms:
             assert 0.5 < r < 2.0
 
 
+class TestProbabilityCoercion:
+    """as_probability is the one coercion: a real, a Probability or an indicator."""
+
+    def test_indicator_gives_its_prob(self):
+        ind = CenteredIndicator(0.3)
+        assert as_probability(ind) is ind.prob
+
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 0.1, 0.5, 0.7, 1.0])
+    def test_entries_agree_bitwise_on_every_form(self, p):
+        entries = [lambda v: log_mgf(v, 2.5), lambda v: log_mgf(v, -1e-4),
+                   lambda v: mgf(v, 3.0), lambda v: moment_abs(v, 4.0), gls_norm]
+        for fn in entries:
+            want = _float_bits(fn(p))
+            assert _float_bits(fn(Probability(p))) == want
+            assert _float_bits(fn(CenteredIndicator(p))) == want
+
+    def test_indicator_of_indicator(self):
+        assert CenteredIndicator(CenteredIndicator(0.2)).p == 0.2
+
+
 class TestConversions:
     def test_noncentered_half(self):
         got = noncentered_norm(q_norm(0.5), 0.5)

@@ -775,13 +775,55 @@ class TestSumLogMgf:
         s = WeightedIndicatorSum.iid(50, 0.2)
         assert sum_log_mgf_curve(s).at(0.0) == 0.0
 
-    @pytest.mark.parametrize("c", [0.01, 1e-4, 1e-100])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [0.01, 1e-4, 1e-100, 1e-160, 1e-200, 1e-300])
     def test_curve_hint_reaches_a_small_weight_maximizer(self, c):
         # c X has its maximizer at t* = 2 log(9) / c: 439 for c = 0.01, past
-        # |t| = 60, and past |t| = 2048, where floats are sparser than 1e-12
+        # |t| = 60, and past |t| = 2048, where floats are sparser than 1e-12;
+        # from c = 1e-160 on, t^2 at t* overflows unless g is scaled
         s = WeightedIndicatorSum([c], [0.1])
         got = subgaussian_norm_numeric(sum_log_mgf_curve(s)).value
-        assert got == pytest.approx(c * q_norm(0.1).value, rel=1e-12)
+        assert got == pytest.approx(c * q_norm(0.1).value, rel=1e-13)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e-155, 1e-160, 1e-300])
+    def test_tiny_weight_sum_is_its_unit_sum_scaled(self, c):
+        # from about 1e-154 on, c^2 and the variance leave the normal range
+        unit = WeightedIndicatorSum([1.0, 2.0, -0.5], [0.1, 0.3, 0.8])
+        want = subgaussian_norm_numeric(sum_log_mgf_curve(unit)).value
+        got = subgaussian_norm_numeric(sum_log_mgf_curve(unit.scaled(c))).value
+        assert got == pytest.approx(c * want, rel=1e-13)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weights_far_apart_read_the_large_term_or_raise(self):
+        for coeffs in ([1e-160, 1.0], [1.0, 1e-250]):
+            s = WeightedIndicatorSum(coeffs, [0.1, 0.1])
+            got = subgaussian_norm_numeric(sum_log_mgf_curve(s)).value
+            assert got == pytest.approx(q_norm(0.1).value, rel=1e-13)
+        # no one power-of-two scaling holds both maximizers
+        with pytest.raises(DomainError, match="more scales than one search window"):
+            subgaussian_norm_numeric(sum_log_mgf_curve(WeightedIndicatorSum([1e-300, 1.0],
+                                                                            [0.1, 0.1])))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_hint_raises_without_warning(self):
+        curve = sum_log_mgf_curve(WeightedIndicatorSum([1e-310], [0.1]))
+        assert curve.lambda_hint == math.inf
+        with pytest.raises(DomainError, match="^lambda_hint must be finite, got inf$"):
+            subgaussian_norm_numeric(curve)
+
+    @pytest.mark.parametrize("coeffs, probs, bits", [
+        # windows below 2^500, read unscaled: the values before scaling existed
+        ([1e-140], [0.1], "0x1.2652f34e71166p-467"),
+        ([1e-149], [0.1], "0x1.3c072c065e2b0p-497"),
+        # subnormal log-MGF values: an unscaled row keeps reading them
+        ([1e-160], [0.5], "0x1.5369480174810p-533"),
+        ([1.5, -0.5, 1.0], [0.2, 0.6, 0.4], "0x1.413575e5c4422p-1"),
+        ([0.01], [0.1], "0x1.8b724bac1ee21p-9"),
+    ])
+    def test_unscaled_windows_keep_their_bits(self, coeffs, probs, bits):
+        s = WeightedIndicatorSum(coeffs, probs)
+        assert subgaussian_norm_numeric(sum_log_mgf_curve(s)).value.hex() == bits
 
     def test_curve_hint_skips_null_terms(self):
         s = WeightedIndicatorSum([0.0, 2.0, 5.0, 1.0], [0.3, 0.1, 0.0, 1.0])

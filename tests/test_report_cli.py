@@ -109,6 +109,11 @@ class TestReportBuild:
         assert rep.metadata["bound_kind"] == "triangle_dependent"
         assert rep.rows[0].exact_tail is None and rep.rows[0].mc is None
 
+    def test_independent_sum_takes_the_quadratic_bound(self):
+        rep = build_bound_report(WeightedIndicatorSum([1.0, 1.0], [0.5, 0.5]), [0.5])
+        assert rep.metadata["bound_kind"] == "quadratic_independent"
+        assert rep.metadata["bound_norm"] == math.sqrt(2.0 * 0.125)
+
     def test_exact_required_raises_past_caps(self):
         coeffs = [1.0 + 0.01 * k for k in range(25)]
         s = WeightedIndicatorSum(coeffs, [0.3] * 25)

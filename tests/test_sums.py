@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from subgauss import (
-    BoundKind,
     DependenceError,
     DomainError,
+    NormMethod,
     Probability,
-    SumNormBound,
+    SubgaussianNorm,
     WeightedIndicatorSum,
     best_norm_bound,
     hoeffding_reference_tail,
+    noncentered_norm,
     norm_bound_dependent,
     norm_bound_independent,
     q_norm,
@@ -173,7 +174,7 @@ class TestContainer:
 class TestNormBounds:
     def test_triangle_frozen(self):
         b = norm_bound_dependent(WeightedIndicatorSum.iid(5, 0.1))
-        assert b.kind is BoundKind.TRIANGLE_DEPENDENT
+        assert b.method is NormMethod.TRIANGLE_DEPENDENT
         assert math.isclose(b.value, TRIANGLE_5_01, rel_tol=5e-14)
 
     def test_triangle_ignores_dependence(self):
@@ -185,7 +186,7 @@ class TestNormBounds:
     def test_quadratic_frozen(self):
         s = WeightedIndicatorSum([1.0, 1.0, 1.0], [0.1, 0.9, 0.5])
         b = norm_bound_independent(s)
-        assert b.kind is BoundKind.QUADRATIC_INDEPENDENT
+        assert b.method is NormMethod.QUADRATIC_INDEPENDENT
         assert math.isclose(b.value, QUAD_2Q01_HALF, rel_tol=5e-14)
 
     def test_quadratic_requires_independence(self):
@@ -208,15 +209,24 @@ class TestNormBounds:
 
     def test_best_prefers_quadratic_when_independent(self):
         s = WeightedIndicatorSum.iid(5, 0.1)
-        assert best_norm_bound(s).kind is BoundKind.QUADRATIC_INDEPENDENT
+        assert best_norm_bound(s).method is NormMethod.QUADRATIC_INDEPENDENT
 
     def test_best_falls_back_to_triangle(self):
         s = WeightedIndicatorSum([1.0], [0.1], independent=False)
-        assert best_norm_bound(s).kind is BoundKind.TRIANGLE_DEPENDENT
+        assert best_norm_bound(s).method is NormMethod.TRIANGLE_DEPENDENT
 
     def test_single_term_bounds_agree(self):
         s = WeightedIndicatorSum([2.0], [0.3])
         assert norm_bound_dependent(s).value == norm_bound_independent(s).value
+
+    @pytest.mark.parametrize("independent, method", [
+        (True, NormMethod.QUADRATIC_INDEPENDENT), (False, NormMethod.TRIANGLE_DEPENDENT),
+    ])
+    def test_noncentered_norm_keeps_the_bound_method(self, independent, method):
+        s = WeightedIndicatorSum([1.0, -2.0], [0.1, 0.4], independent=independent)
+        got = noncentered_norm(best_norm_bound(s), 0.5)
+        assert got.method is method
+        assert got.value == math.hypot(best_norm_bound(s).value, 0.5)
 
     def test_float_conversion(self):
         assert float(norm_bound_dependent(WeightedIndicatorSum([1.0], [0.5]))) == \
@@ -224,9 +234,9 @@ class TestNormBounds:
 
     def test_sum_norm_bound_validation(self):
         with pytest.raises(DomainError):
-            SumNormBound(-1.0, BoundKind.TRIANGLE_DEPENDENT)
+            SubgaussianNorm(-1.0, NormMethod.TRIANGLE_DEPENDENT)
         with pytest.raises(DomainError):
-            SumNormBound(1.0, "triangle")
+            SubgaussianNorm(1.0, "triangle")
 
 
 class TestTailBounds:

@@ -5,6 +5,7 @@ so the whole module stays fast.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,6 +242,16 @@ def test_run_suites_order_and_first_error(monkeypatch, threads):
 def test_argmax_excludes_half():
     with pytest.raises(DomainError, match="excludes p = 0.5"):
         argmax_sweep(p_values=[0.2, 0.5])
+
+
+@pytest.mark.parametrize("p_values, message", [
+    ([0.2, 1.0, 0.5], "extremal point undefined at p = 1.0"),
+    # every p is read before any is excluded, so the range error comes first
+    ([0.5, 2.0], "probability must lie in [0, 1], got 2.0"),
+])
+def test_argmax_error_precedence(p_values, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        argmax_sweep(p_values=p_values)
 
 
 def test_domination_checks_the_package_tail_bound(monkeypatch):
