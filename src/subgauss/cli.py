@@ -33,7 +33,7 @@ from .errors import CapExceededError, SubgaussError
 from .oracles import exact_tail, poisson_binomial_table
 from .report import _fmt, build_bound_report, report_to_csv, report_to_json
 from .sums import WeightedIndicatorSum, hoeffding_reference_tail
-from .verify import SUITES, _p_grid, run_suites
+from .verify import SUITES, _GRID_PARAMS, run_suites
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAIL = 1
@@ -216,58 +216,31 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-# The --grid counts each --suite choice reads; `all` passes N[:X] to each.
-_GRID_SHAPES = {
-    "kearns-saul": "P[:L]",
-    "sharpness": "N",
-    "domination": "N[:X]",
-    "argmax": "N",
-    "all": "N[:X]",
-}
-
-
-def _grid_counts(args: argparse.Namespace) -> list[int] | None:
-    """--grid as integer counts, rejecting any the chosen suite does not read."""
-    if args.grid is None:
-        return None
-    try:
-        counts = [int(tok) for tok in args.grid.split(":")]
-    except ValueError:
-        raise _UsageError(f"--grid must be integer counts, got {args.grid!r}") from None
-    shape = _GRID_SHAPES[args.suite]
-    if len(counts) > shape.count(":") + 1:
-        raise _UsageError(f"--grid for {args.suite} is {shape}, got {args.grid!r}")
-    return counts
-
-
-def _verify_kwargs(args: argparse.Namespace, counts: list[int] | None,
-                   suite: str) -> dict:
-    kwargs: dict = {}
-    if args.tol is not None:
-        if suite == "argmax":
-            kwargs["tol_arg"] = args.tol
-        else:
+def _verify_kwargs(args: argparse.Namespace) -> dict[str, dict]:
+    """Each chosen suite's keyword arguments: --grid counts fill the
+    parameters verify._GRID_PARAMS names (`all` passes N[:X] to each),
+    --tol goes to every suite and --seed to domination."""
+    counts: list[int] = []
+    if args.grid is not None:
+        try:
+            counts = [int(tok) for tok in args.grid.split(":")]
+        except ValueError:
+            raise _UsageError(f"--grid must be integer counts, got {args.grid!r}") from None
+        shape = "N[:X]" if args.suite == "all" else _GRID_PARAMS[args.suite][0]
+        if len(counts) > shape.count(":") + 1:
+            raise _UsageError(f"--grid for {args.suite} is {shape}, got {args.grid!r}")
+    suites = {}
+    for name in SUITES if args.suite == "all" else [args.suite]:
+        kwargs = suites[name] = dict(zip(_GRID_PARAMS[name][1], counts))
+        if args.tol is not None:
             kwargs["tol"] = args.tol
-    if args.seed is not None and suite == "domination":
-        kwargs["seed"] = args.seed
-    if counts is not None:
-        if suite == "kearns-saul":
-            kwargs["p_count"] = counts[0]
-            if len(counts) > 1:
-                kwargs["lambda_count"] = counts[1]
-        elif suite in ("sharpness", "argmax"):
-            kwargs["p_values"] = _p_grid(counts[0], drop_half=suite == "argmax")
-        elif suite == "domination":
-            kwargs["n_random"] = counts[0]
-            if len(counts) > 1:
-                kwargs["grid_points"] = counts[1]
-    return kwargs
+        if args.seed is not None and name == "domination":
+            kwargs["seed"] = args.seed
+    return suites
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
-    counts = _grid_counts(args)
-    results = run_suites({name: _verify_kwargs(args, counts, name) for name in suites})
+    results = run_suites(_verify_kwargs(args))
     if args.format == "json":
         _emit(json.dumps([asdict(r) for r in results], indent=2))
     else:
@@ -287,7 +260,7 @@ def _cmd_example32(args: argparse.Namespace) -> int:
     if n < 1:
         raise _UsageError(f"need n >= 1, got {n}")
     xs = _parse_grid(args.x_grid)
-    kept = [x for x in xs if x > 0.0]
+    kept = [x for x in xs if not x <= 0.0]  # a NaN is kept, for exact_tail to reject
     if len(kept) < len(xs):
         _note("note: dropped x <= 0 grid points (ratio undefined at 0)")
     table = poisson_binomial_table([0.5] * n)

@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import _indicator_curve, _log_odds, _probability_array, _q_squared, g_values
+from .core import _indicator_curve, _log_odds, _q_squared, g_values
 from .core import log_mgf_values, subgaussian_norm_numeric, tail_bound_from_norm
 from .core import g_value, q_norm  # noqa: F401 -- unused, but perfbench/trace_cli.py rebinds them
 from .errors import DomainError
@@ -119,17 +119,14 @@ def kearns_saul_sweep(
     )
 
 
-def sharpness_sweep(
-    p_values: Sequence[float] | None = None,
-    tol: float = 1e-8,
-) -> SweepResult:
+def sharpness_sweep(p_count: int = 99, tol: float = 1e-8) -> SweepResult:
     """Check that the numeric norm reproduces the closed form Q(p).
 
     The defining supremum is attained, so the grid-plus-refinement numeric
-    value must land within tol of Q(p) on every tested p.  All p share one
-    batched numeric supremum.
+    value must land within tol of Q(p) on every p of the _p_grid(p_count)
+    grid.  All p share one batched numeric supremum.
     """
-    ps = _probability_array(_p_grid(99) if p_values is None else p_values)
+    ps = np.array(_p_grid(p_count))
     if len(ps) == 0:
         raise DomainError("sharpness p grid is empty")
 
@@ -147,25 +144,18 @@ def sharpness_sweep(
     )
 
 
-def argmax_sweep(
-    p_values: Sequence[float] | None = None,
-    tol_arg: float = 1e-6,
-) -> SweepResult:
+def argmax_sweep(p_count: int = 99, tol: float = 1e-6) -> SweepResult:
     """Check the extremal point: argmax of g sits at 2 log((1-p)/p).
 
     Also checks the exact identity g(t*) = Q(p)^2 at the closed-form
-    extremal point.  p = 1/2 is excluded (t* = 0 is the limit case there).
-    All p share one batched golden-section search.
+    extremal point, on the _p_grid(p_count) grid less p = 1/2 (t* = 0 is
+    the limit case there).  All p share one batched golden-section search.
     """
-    ps = _probability_array(_p_grid(99, drop_half=True) if p_values is None else p_values)
+    ps = np.array(_p_grid(p_count, drop_half=True))
     if len(ps) == 0:
         raise DomainError("argmax p grid is empty")
 
     lam0 = 2.0 * _log_odds(ps)
-    bad = ps[(lam0 == 0.0) | np.isinf(lam0)].tolist()
-    if bad:
-        raise DomainError("argmax sweep excludes p = 0.5, where t* = 0" if bad[0] == 0.5
-                          else f"extremal point undefined at p = {bad[0]}")
     at_lam0 = g_values(ps, lam0).tolist()
     # q ** 2, not _q_squared: the reported value error keeps its bits
     qs = np.sqrt(_q_squared(ps)).tolist()
@@ -181,7 +171,7 @@ def argmax_sweep(
     arg_errs = [abs(x - t) for x, t in zip(res.argmax.tolist(), lam0.tolist())]
     worst_idx = int(np.argmax(arg_errs))
     worst_val = max(val_errs)
-    passed = arg_errs[worst_idx] <= tol_arg and worst_val <= _TOL_VAL
+    passed = arg_errs[worst_idx] <= tol and worst_val <= _TOL_VAL
     return SweepResult(
         suite="argmax",
         passed=passed,
@@ -192,7 +182,7 @@ def argmax_sweep(
             "value_err": worst_val,
         },
         detail=(
-            f"max |argmax - t*| (tol {tol_arg:g}); "
+            f"max |argmax - t*| (tol {tol:g}); "
             f"max |g(t*) - Q^2| = {worst_val:.3g} (tol {_TOL_VAL:g})"
         ),
     )
@@ -240,6 +230,8 @@ def _check_domination(start: int, stop: int | None, n_random: int, seed: int,
                       grid_points: int, dp_sizes: Sequence[int],
                       tol: float) -> _DominationPart:
     """Check cases [start, stop) of domination_sweep (stop None: to the end)."""
+    if n_random < 0:
+        raise DomainError(f"domination needs n_random >= 0, got {n_random}")
     if grid_points < 1:
         raise DomainError(f"domination x grid is empty (grid_points = {grid_points})")
     cases = _domination_cases(seed, n_random, tuple(dp_sizes))
@@ -252,7 +244,8 @@ def _check_domination(start: int, stop: int | None, n_random: int, seed: int,
         margins = tail_curve(table, xs, side="max_both") - tail_bound_from_norm(b, xs)
         i = int(np.argmax(margins))
         checked += len(xs)
-        violations += int(np.count_nonzero(margins > tol))
+        # not margin <= tol: a NaN margin or tolerance is a violation
+        violations += int(np.count_nonzero(~(margins <= tol)))
         if margins[i] > worst:
             worst = float(margins[i])
             witness = {"sum": label, "x": float(xs[i]), "bound_norm": b}
@@ -301,6 +294,15 @@ SUITES = {
     "sharpness": sharpness_sweep,
     "domination": domination_sweep,
     "argmax": argmax_sweep,
+}
+
+# Each suite's `verify --grid` shape, as usage errors print it, and the
+# count parameters its counts fill in order.
+_GRID_PARAMS = {
+    "kearns-saul": ("P[:L]", ("p_count", "lambda_count")),
+    "sharpness": ("N", ("p_count",)),
+    "domination": ("N[:X]", ("n_random", "grid_points")),
+    "argmax": ("N", ("p_count",)),
 }
 
 

@@ -38,6 +38,7 @@ from subgauss import (
     report_to_csv,
     report_to_json,
     run_suite,
+    run_suites,
 )
 import subgauss.cli as cli_module
 from subgauss.cli import main as cli_main
@@ -511,6 +512,29 @@ class TestCliVerify:
         assert lines[0] == "suite,passed,worst,witness"
         assert lines[1].startswith("kearns-saul,true,")
 
+    def test_tol_reaches_argmax(self, capsys):
+        code = cli_main(["verify", "--suite", "argmax", "--grid", "5", "--tol", "1e-30"])
+        err = capsys.readouterr().err
+        [result] = run_suites({"argmax": {"p_count": 5, "tol": 1e-30}})
+        assert code == 1 and not result.passed
+        assert result.detail.startswith("max |argmax - t*| (tol 1e-30); ")
+        assert err == result.summary() + "\n"
+
+    def test_negative_n_random_is_usage_error(self, capsys):
+        code = cli_main(["verify", "--suite", "domination", "--grid=-5:4"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: domination needs n_random >= 0, got -5\n"
+
+    def test_nan_tol_fails_every_suite(self, capsys):
+        code = cli_main(["verify", "--suite", "all", "--grid", "5:7", "--tol", "nan"])
+        err = capsys.readouterr().err
+        assert code == 1
+        # a NaN margin <= tol is false, so every pair is a violation
+        assert [line.split()[:2] for line in err.splitlines()] == [
+            [f"{name}:", "FAIL"] for name in SUITES]
+        assert "domination: FAIL worst=0 119 violations over 119 (sum, x) pairs\n" in err
+
     def test_unknown_suite_rejected_by_parser(self):
         r = run_cli("verify", "--suite", "nope")
         assert r.returncode == 2
@@ -587,6 +611,13 @@ class TestCliExample32:
         assert r.returncode == 0
         assert len(r.stdout.strip().split("\n")) == 2
         assert "dropped" in r.stderr
+
+    def test_rejects_nan_threshold(self):
+        # NaN is not <= 0, so it is an error rather than a dropped point
+        r = run_cli("example32", "--n", "16", "--x-grid", "0.5,nan")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: threshold must not be NaN\n"
 
     def test_tail_below_gauss_bound(self):
         r = run_cli("example32", "--n", "256", "--format", "json")
@@ -773,12 +804,11 @@ class TestWireFormat:
     def test_verify_json_matches_hand_written_mapping(self, capsys):
         code = cli_main(["verify", "--suite", "all", "--grid", "5:7", "--format", "json"])
         out = capsys.readouterr().out
-        ps = [(k + 1) / 6 for k in range(5)]
         results = [
             run_suite("kearns-saul", p_count=5, lambda_count=7),
-            run_suite("sharpness", p_values=ps),
+            run_suite("sharpness", p_count=5),
             run_suite("domination", n_random=5, grid_points=7),
-            run_suite("argmax", p_values=[p for p in ps if p != 0.5]),
+            run_suite("argmax", p_count=5),
         ]
         assert [r.suite for r in results] == list(SUITES)
         assert code == 0
@@ -788,7 +818,7 @@ class TestWireFormat:
         code = cli_main(["verify", "--suite", "sharpness", "--grid", "4",
                          "--tol", "1e-30", "--format", "json"])
         out = capsys.readouterr().out
-        result = run_suite("sharpness", p_values=[0.2, 0.4, 0.6, 0.8], tol=1e-30)
+        result = run_suite("sharpness", p_count=4, tol=1e-30)
         assert code == 1 and not result.passed
         assert out == _legacy_verify_json([result]) + "\n"
 

@@ -5,7 +5,6 @@ so the whole module stays fast.
 """
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -74,7 +73,7 @@ def test_kearns_saul_is_bitwise_per_p_q_norm():
 
 
 def test_sharpness_small():
-    r = sharpness_sweep(p_values=[0.1, 0.5, 0.9])
+    r = sharpness_sweep(p_count=3)
     assert r.passed
     assert r.worst <= 1e-8
     assert 0.0 < r.witness["p"] < 1.0
@@ -82,13 +81,13 @@ def test_sharpness_small():
 
 def test_sharpness_fails_at_impossible_tolerance():
     # float arithmetic cannot hit 1e-30; the failure path must report it
-    r = sharpness_sweep(p_values=[0.3, 0.6], tol=1e-30)
+    r = sharpness_sweep(p_count=2, tol=1e-30)
     assert not r.passed
     assert r.worst > 1e-30
 
 
 def test_argmax_small():
-    r = argmax_sweep(p_values=[0.05, 0.3, 0.9])
+    r = argmax_sweep(p_count=4)
     assert r.passed
     assert set(r.witness) >= {"p", "argmax_err", "value_err"}
 
@@ -96,8 +95,8 @@ def test_argmax_small():
 @pytest.mark.parametrize("sweep,kwargs", [
     (kearns_saul_sweep, {"p_count": 0}),
     (kearns_saul_sweep, {"p_count": 3, "lambda_count": 1}),
-    (sharpness_sweep, {"p_values": []}),
-    (argmax_sweep, {"p_values": ()}),
+    (sharpness_sweep, {"p_count": 0}),
+    (argmax_sweep, {"p_count": 1}),
     (domination_sweep, {"n_random": 1, "dp_sizes": (), "grid_points": 0}),
 ])
 def test_empty_grid_is_typed_error(sweep, kwargs):
@@ -126,7 +125,7 @@ def test_run_suite_forwards_kwargs():
 
 
 def test_summary_lines_name_the_suite():
-    r = run_suite("sharpness", p_values=[0.5])
+    r = run_suite("sharpness", p_count=1)
     line = r.summary()
     assert line.startswith("sharpness:")
     assert "pass" in line
@@ -204,15 +203,18 @@ def test_domination_tasks_cover_the_cases_in_order(monkeypatch):
     ({"seed": -1}, ValueError),
     ({"seed": -1, "grid_points": 0}, DomainError),
     ({"no_such_option": 1}, TypeError),
+    # an error, so that _tasks never slices the cases from their end
+    ({"n_random": -5, "grid_points": 4}, DomainError),
 ])
 def test_domination_errors_keep_suite_order(monkeypatch, kwargs, error):
     # the domination tasks raise in the workers, so an earlier suite's
     # error still comes first, and the grid is checked before the draw
-    monkeypatch.setenv("SUBGAUSS_THREADS", "2")
-    with pytest.raises(DomainError, match="sharpness p grid is empty"):
-        run_suites({"sharpness": {"p_values": []}, "domination": kwargs})
-    with pytest.raises(error):
-        run_suites({"domination": kwargs, "sharpness": {"p_values": []}})
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SUBGAUSS_THREADS", threads)
+        with pytest.raises(DomainError, match="sharpness p grid is empty"):
+            run_suites({"sharpness": {"p_count": 0}, "domination": kwargs})
+        with pytest.raises(error):
+            run_suites({"domination": kwargs, "sharpness": {"p_count": 0}})
 
 
 def test_merge_keeps_the_first_strict_maximum():
@@ -228,30 +230,15 @@ def test_merge_keeps_the_first_strict_maximum():
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_run_suites_order_and_first_error(monkeypatch, threads):
     monkeypatch.setenv("SUBGAUSS_THREADS", threads)
-    small = {"argmax": {"p_values": [0.2, 0.7]}, "sharpness": {"p_values": [0.4]}}
+    small = {"argmax": {"p_count": 3}, "sharpness": {"p_count": 1}}
     assert run_suites(small) == [run_suite(name, **kw) for name, kw in small.items()]
-    bad = {"sharpness": {"p_values": []}, "domination": {"grid_points": 0}}
+    bad = {"sharpness": {"p_count": 0}, "domination": {"grid_points": 0}}
     with pytest.raises(DomainError, match="sharpness p grid is empty"):
         run_suites(bad)
     with pytest.raises(DomainError, match="domination x grid is empty"):
         run_suites(dict(reversed(bad.items())))
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites({"argmax": {}, "no-such-suite": {}})
-
-
-def test_argmax_excludes_half():
-    with pytest.raises(DomainError, match="excludes p = 0.5"):
-        argmax_sweep(p_values=[0.2, 0.5])
-
-
-@pytest.mark.parametrize("p_values, message", [
-    ([0.2, 1.0, 0.5], "extremal point undefined at p = 1.0"),
-    # every p is read before any is excluded, so the range error comes first
-    ([0.5, 2.0], "probability must lie in [0, 1], got 2.0"),
-])
-def test_argmax_error_precedence(p_values, message):
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        argmax_sweep(p_values=p_values)
 
 
 def test_domination_checks_the_package_tail_bound(monkeypatch):
