@@ -219,7 +219,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _verify_kwargs(args: argparse.Namespace) -> dict[str, dict]:
     """Each chosen suite's keyword arguments: --grid counts fill the
     parameters verify._GRID_PARAMS names (`all` passes N[:X] to each),
-    --tol goes to every suite and --seed to domination."""
+    --tol goes to every suite and --seed to domination, the one random
+    suite; --seed for a suite that takes none is a usage error."""
+    if args.seed is not None and args.suite not in ("domination", "all"):
+        raise _UsageError(f"--seed is for domination; {args.suite} takes no seed")
     counts: list[int] = []
     if args.grid is not None:
         try:
@@ -320,7 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="which sweep to run (default all)")
     p_v.add_argument("--tol", type=float, default=None, help="tolerance override")
     p_v.add_argument("--seed", type=int, default=None,
-                     help="seed override (domination suite)")
+                     help="seed of the domination suite's random sums "
+                          "(domination and all only)")
     p_v.add_argument("--grid", default=None,
                      help="grid-size override: kearns-saul P[:L] (L//2 t-points "
                           "per sign, so 3:5 runs a 3x4 grid), domination N[:X], "

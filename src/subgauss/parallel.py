@@ -5,6 +5,12 @@ releases the GIL.  process_map spreads GIL-bound Python work over forked
 worker processes; `verify` runs its suite tasks with it, so there the cap
 bounds worker processes, and inside a worker every ordered_map runs
 serially.
+
+Worker processes keep the heap memory they free: each worker sets glibc's
+trim and mmap thresholds to _WORKER_HEAP_KEEP, so freed temporaries are
+reused instead of going back to the kernel and faulting in again on the
+next task.  Serial runs and library callers keep the allocator defaults;
+nothing here changes the calling process's allocator.
 """
 
 from __future__ import annotations
@@ -13,6 +19,14 @@ import os
 from typing import Callable, Iterable, Sequence, TypeVar
 
 ENV_THREADS = "SUBGAUSS_THREADS"
+
+# glibc's mallopt parameters (malloc.h) and the value a worker gives both:
+# up to that much free heap is kept, and allocations below it come from the
+# heap.  Both are set: setting one turns off glibc's dynamic thresholds, and
+# the other then stays at its 128 KiB default.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_WORKER_HEAP_KEEP = 32 << 20
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -52,10 +66,31 @@ def ordered_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
         return list(pool.map(fn, seq))
 
 
+def _keep_freed_heap() -> None:
+    """Make glibc keep freed heap in this process instead of returning it
+    to the kernel, where every reuse would fault the pages in again.
+    Does nothing where the C library is not glibc."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    if not (libc or "").startswith("glibc"):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD):
+        mallopt(param, _WORKER_HEAP_KEEP)
+
+
 def _serial_worker() -> None:
     """Worker initializer: nested maps run serially, so the cap bounds
-    the total number of busy workers."""
+    the total number of busy workers, and freed heap stays with the
+    worker."""
     os.environ[ENV_THREADS] = "1"
+    _keep_freed_heap()
 
 
 def process_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:

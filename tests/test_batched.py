@@ -303,6 +303,30 @@ class TestNumericSup:
             single = subgaussian_norm_numeric(CenteredIndicator(p).log_mgf_curve())
             assert same_bits(norm.value, single.value), p
 
+    def test_tiny_weight_sum_rows_are_bitwise_their_single_curves(self, monkeypatch):
+        # weights below ~1e-150 put the window past 2^500, where g is read
+        # scaled (j > 0); the batch mixes such rows with unscaled ones
+        sums = [WeightedIndicatorSum([c, -2.5 * c], [p, 1.0 - p / 3.0])
+                for c in (1e-160, 1e-200, 1e-300, 1.0, 1e-3)
+                for p in (1e-9, 0.1, 0.3, 0.5 - 1e-12, 0.9, 1.0 - 1e-9)]
+        curves = [sum_log_mgf_curve(s) for s in sums]
+        assert sum(c.lambda_hint > 2.0 ** 500 for c in curves) == 18
+        batch = LogMgfCurve(
+            fn=lambda t: np.concatenate([c(t[r:r + 1]) for r, c in enumerate(curves)]),
+            variance=np.array([c.variance for c in curves]),
+            lambda_hint=np.array([c.lambda_hint for c in curves]),
+            rows=len(curves),
+        )
+        got = [n.value for n in subgaussian_norm_numeric(batch)]
+        # a single curve runs one scalar search per sign
+        brackets = []
+        monkeypatch.setattr("subgauss.core.golden_section_argmax",
+                            lambda fn, lo, hi, **kw: brackets.append(np.ndim(lo))
+                            or golden_section_argmax(fn, lo, hi, **kw))
+        ref = [subgaussian_norm_numeric(c).value for c in curves]
+        assert brackets == [0, 0] * len(curves)
+        assert same_bits(got, ref)
+
     def test_wide_hint_rows_get_their_own_grid(self):
         # p below ~5e-4 widens the window past lambda_max = 60
         ps = np.array([1e-300, 1e-9, 0.3, 1e-5, 0.7])
@@ -329,6 +353,9 @@ class TestNumericSup:
         monkeypatch.setattr("subgauss.core._SUP_MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match="after 2 iterations"):
             subgaussian_norm_numeric(_indicator_curve(np.array([0.2, 0.4])))
+        # and a single curve's scalar searches
+        with pytest.raises(ConvergenceError, match="after 2 iterations"):
+            subgaussian_norm_numeric(_indicator_curve(0.2))
 
 
 def test_gls_norm_is_bitwise_scalar():

@@ -6,6 +6,7 @@ probes are module-level so that process_map can pickle them.
 
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import subgauss
+from subgauss import parallel
 from subgauss.parallel import max_threads, ordered_map, process_map
 
 
@@ -73,6 +75,66 @@ class TestProcessMap:
             process_map(_square_and_pid, range(3))
 
 
+def _run_python(code: str, **env: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's subgauss."""
+    src = str(Path(subgauss.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath, **env), timeout=60,
+    )
+
+
+_GLIBC_FORK = (
+    sys.platform.startswith("linux")
+    and platform.libc_ver()[0] == "glibc"
+    and "fork" in multiprocessing.get_all_start_methods()
+)
+
+# Each round writes and frees four 512 KiB temporaries (128 pages of 4 KiB
+# each); glibc's default policy gives them back to the kernel every round.
+_CHURN = """
+import resource
+import numpy as np
+from subgauss.parallel import process_map
+
+def churn(rounds):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(rounds):
+        temps = [np.full(1 << 16, float(k)) for k in range(4)]
+        del temps
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+print(*process_map(churn, [40, 40]))
+"""
+
+
+class TestWorkerHeap:
+    @pytest.mark.skipif(not _GLIBC_FORK, reason="needs Linux, glibc and fork")
+    def test_workers_keep_freed_heap(self):
+        # a fresh interpreter, so the allocator starts from glibc's defaults;
+        # with them each worker takes about 19 000 faults (40 rounds x 512
+        # pages), keeping the heap about 560 (the first round's pages)
+        r = _run_python(_CHURN, SUBGAUSS_THREADS="2")
+        assert r.returncode == 0, r.stderr
+        faults = [int(tok) for tok in r.stdout.split()]
+        assert len(faults) == 2
+        assert max(faults) < 4 * 4 * 128, faults
+
+    @pytest.mark.parametrize("threads,items", [
+        ("1", range(4)),
+        ("2", [3]),
+        ("2", range(4)),
+    ], ids=["serial-at-cap-1", "serial-for-one-item", "in-workers"])
+    def test_calling_process_keeps_allocator_defaults(self, monkeypatch, threads, items):
+        calls = []
+        monkeypatch.setattr(parallel, "_keep_freed_heap", lambda: calls.append(os.getpid()))
+        monkeypatch.setenv("SUBGAUSS_THREADS", threads)
+        got = process_map(_square_and_pid, items)
+        assert [v for v, _ in got] == [x * x for x in items]
+        assert calls == []
+
+
 def test_version_imports_no_multiprocessing():
     code = (
         "import sys\n"
@@ -84,11 +146,6 @@ def test_version_imports_no_multiprocessing():
         "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')\n"
         "             or m.startswith('concurrent')))\n"
     )
-    src = str(Path(subgauss.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    r = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath), timeout=60,
-    )
+    r = _run_python(code)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "[]"

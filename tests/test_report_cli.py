@@ -520,6 +520,34 @@ class TestCliVerify:
         assert result.detail.startswith("max |argmax - t*| (tol 1e-30); ")
         assert err == result.summary() + "\n"
 
+    @pytest.mark.parametrize("suite", ["kearns-saul", "sharpness", "argmax"])
+    @pytest.mark.parametrize("grid", [[], ["--grid", "3"]], ids=["no-grid", "grid"])
+    def test_seed_for_unseeded_suite_is_usage_error(self, capsys, suite, grid):
+        code = cli_main(["verify", "--suite", suite, *grid, "--seed", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: --seed is for domination; {suite} takes no seed\n"
+
+    @pytest.mark.parametrize("suite", ["domination", "all"])
+    def test_seed_reaches_domination(self, capsys, monkeypatch, suite):
+        seen = []
+        monkeypatch.setattr(cli_module, "run_suites",
+                            lambda kwargs: seen.append(kwargs) or run_suites(kwargs))
+        code = cli_main(["verify", "--suite", suite, "--grid", "5:7", "--seed", "9",
+                         "--format", "json"])
+        out = capsys.readouterr().out
+        kwargs = {
+            "kearns-saul": {"p_count": 5, "lambda_count": 7},
+            "sharpness": {"p_count": 5},
+            "domination": {"n_random": 5, "grid_points": 7, "seed": 9},
+            "argmax": {"p_count": 5},
+        }
+        if suite != "all":
+            kwargs = {suite: kwargs[suite]}
+        assert seen == [kwargs]
+        assert code == 0
+        assert out == _legacy_verify_json(run_suites(kwargs)) + "\n"
+
     def test_negative_n_random_is_usage_error(self, capsys):
         code = cli_main(["verify", "--suite", "domination", "--grid=-5:4"])
         captured = capsys.readouterr()
