@@ -33,7 +33,7 @@ from .errors import CapExceededError, SubgaussError
 from .oracles import exact_tail, poisson_binomial_table
 from .report import _fmt, build_bound_report, report_to_csv, report_to_json
 from .sums import WeightedIndicatorSum, hoeffding_reference_tail
-from .verify import SUITES, _GRID_PARAMS, run_suites
+from .verify import SUITES, _GRID_PARAMS, _SEEDED, run_suites
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAIL = 1
@@ -219,10 +219,11 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _verify_kwargs(args: argparse.Namespace) -> dict[str, dict]:
     """Each chosen suite's keyword arguments: --grid counts fill the
     parameters verify._GRID_PARAMS names (`all` passes N[:X] to each),
-    --tol goes to every suite and --seed to domination, the one random
-    suite; --seed for a suite that takes none is a usage error."""
-    if args.seed is not None and args.suite not in ("domination", "all"):
-        raise _UsageError(f"--seed is for domination; {args.suite} takes no seed")
+    --tol goes to every suite and --seed to the suites verify._SEEDED
+    names; --seed for a suite that takes none is a usage error."""
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.seed is not None and not any(name in _SEEDED for name in names):
+        raise _UsageError(f"--seed is for {', '.join(_SEEDED)}; {args.suite} takes no seed")
     counts: list[int] = []
     if args.grid is not None:
         try:
@@ -233,11 +234,11 @@ def _verify_kwargs(args: argparse.Namespace) -> dict[str, dict]:
         if len(counts) > shape.count(":") + 1:
             raise _UsageError(f"--grid for {args.suite} is {shape}, got {args.grid!r}")
     suites = {}
-    for name in SUITES if args.suite == "all" else [args.suite]:
+    for name in names:
         kwargs = suites[name] = dict(zip(_GRID_PARAMS[name][1], counts))
         if args.tol is not None:
             kwargs["tol"] = args.tol
-        if args.seed is not None and name == "domination":
+        if args.seed is not None and name in _SEEDED:
             kwargs["seed"] = args.seed
     return suites
 

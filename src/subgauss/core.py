@@ -532,33 +532,20 @@ def subgaussian_norm_numeric(curve: LogMgfCurve) -> SubgaussianNorm | list[Subga
     # past |t| = 2048 (a hint's window) the floats are too sparse for
     # _SUP_TOL; there a bracket of four float spacings is converged
     tol = np.maximum(_SUP_TOL, 4.0 * np.spacing(np.maximum(-lo, hi)))
-
-    def refine(fn: Callable, lo, hi, tol):
-        res = golden_section_argmax(fn, lo, hi, tol=tol, max_iter=_SUP_MAX_ITER)
-        if not np.all(res.converged):
-            k = int(np.argmin(res.converged))
-            raise ConvergenceError(
-                f"norm refinement stalled at interval width {float(np.ravel(res.width)[k])!r} "
-                f"after {res.iterations} iterations"
-            )
-        return res.value
-
-    if curve.rows is None:
-        # one curve: a scalar search per sign, free of the batch's array
-        # bookkeeping and bitwise the batch's elements
-        def at(t: float) -> float:
-            return scaled_g(np.array([[t]]))[0, 0]
-
-        refined = np.array([[refine(at, lo[0, s], hi[0, s], tol[0, s]) for s in (0, 1)]])
-    else:
-        refined = refine(scaled_g, lo, hi, tol)
+    res = golden_section_argmax(scaled_g, lo, hi, tol=tol, max_iter=_SUP_MAX_ITER)
+    if not res.converged.all():
+        k = int(np.argmin(res.converged))
+        raise ConvergenceError(
+            f"norm refinement stalled at interval width {float(res.width.flat[k])!r} "
+            f"after {res.iterations} iterations"
+        )
 
     # the t -> 0 limit; a subnormal variance lacks the digits a scaled row needs
     var = per_row(-math.inf if curve.variance is None else curve.variance)
     best = np.where((j > 0) & (var < tiny), -math.inf, np.ldexp(0.5 * var, 2 * j))
     # max(best, x) in the order of a one-sign-at-a-time scan
     for sign in (0, 1):
-        for x in (g_best[:, sign], refined[:, sign]):
+        for x in (g_best[:, sign], res.value[:, sign]):
             best = np.where(x > best, x, best)
     values = np.ldexp(np.sqrt(np.where(0.0 > best, 0.0, best)), -j).tolist()
     norms = [SubgaussianNorm(v, NormMethod.NUMERIC_SUP) for v in values]

@@ -23,10 +23,12 @@ ENV_THREADS = "SUBGAUSS_THREADS"
 # glibc's mallopt parameters (malloc.h) and the value a worker gives both:
 # up to that much free heap is kept, and allocations below it come from the
 # heap.  Both are set: setting one turns off glibc's dynamic thresholds, and
-# the other then stays at its 128 KiB default.
+# the other then stays at its 128 KiB default.  glibc rejects an mmap
+# threshold above half its largest heap (32 MiB on 64-bit builds), so the
+# value sits below that cap.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_WORKER_HEAP_KEEP = 32 << 20
+_WORKER_HEAP_KEEP = 16 << 20
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -81,8 +83,9 @@ def _keep_freed_heap() -> None:
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    for param in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD):
-        mallopt(param, _WORKER_HEAP_KEEP)
+    # the trim threshold alone would pin the mmap threshold at 128 KiB
+    if mallopt(_M_MMAP_THRESHOLD, _WORKER_HEAP_KEEP) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _WORKER_HEAP_KEEP)
 
 
 def _serial_worker() -> None:

@@ -305,6 +305,10 @@ _GRID_PARAMS = {
     "argmax": ("N", ("p_count",)),
 }
 
+# The suites `verify --seed` reaches: those whose sweep takes a seed.
+_SEEDED = tuple(name for name, fn in SUITES.items()
+                if "seed" in inspect.signature(fn).parameters)
+
 
 def run_suite(name: str, **kwargs) -> SweepResult:
     """Run one named sweep with keyword overrides."""
