@@ -11,8 +11,12 @@ Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error, 3 infeasible request.
 The SUBGAUSS_THREADS environment variable caps worker parallelism: worker
 processes when verify has more than one task (verify.run_suites), threads
-for the Monte Carlo blocks of bound.  Output is deterministic regardless
-of its value.
+for the Monte Carlo blocks of bound, and the spec reader process that the
+entry (`python -m subgauss`, the `subgauss` script; see __main__) forks for
+`bound SPEC` while numpy imports; at a cap of 1 the spec is read in this
+process.  Output is deterministic regardless of its value.  The entry also
+sets OPENBLAS_NUM_THREADS to 1 unless it is set: no command calls BLAS.
+main() itself never forks a reader.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import argparse
 import json
 import math
 import sys
-from array import array
 from dataclasses import asdict
 from typing import Sequence
 
@@ -32,6 +35,8 @@ from .core import gls_norm, lambda_star, q_asymptotic, q_norm
 from .errors import CapExceededError, SubgaussError
 from .oracles import exact_tail, poisson_binomial_table
 from .report import _fmt, build_bound_report, report_to_csv, report_to_json
+from .spec import SpecReader, read_terms
+from .spec import UsageError as _UsageError
 from .sums import WeightedIndicatorSum, hoeffding_reference_tail
 from .verify import SUITES, _GRID_PARAMS, _SEEDED, run_suites
 
@@ -39,10 +44,6 @@ _EXIT_OK = 0
 _EXIT_VERIFY_FAIL = 1
 _EXIT_USAGE = 2
 _EXIT_INFEASIBLE = 3
-
-
-class _UsageError(Exception):
-    """Bad user-supplied value outside argparse's own checks."""
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -91,82 +92,11 @@ def _note(text: str) -> None:
     sys.stderr.write(text + "\n")
 
 
-# Characters read per step.  It bounds a step's temporaries: 64 KiB steps
-# raised the peak RSS of a 1e5-term spec by about 0.4 MiB over a line
-# loop, 16 KiB steps did not.
-_SPEC_CHUNK = 1 << 14
-
-
-def _read_sum_spec(path: str) -> WeightedIndicatorSum:
-    """Parse the sum spec file: 'independent:' headers, 'c p' lines, '#' comments.
-
-    The file is UTF-8 (a leading byte-order mark is skipped; a byte that
-    does not decode is named by its line and file offset) and is read once,
-    in steps of _SPEC_CHUNK characters that end on a line boundary.  A step
-    with no '#' or ':' whose lines are blank or hold two tokens is converted
-    in bulk; any other step, or one with a token float() rejects, goes line
-    by line, which alone knows comments and headers and reports errors.
-    Both split lines on '\\n' and tokens with str.split() and convert with
-    float(), so a step gives the same terms either way.
-    """
-    independent = True
-    coeffs = array("d")
-    probs = array("d")
-    lineno = 0
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            while text := fh.read(_SPEC_CHUNK):
-                text += fh.readline()  # end the step on a line boundary
-                first, lineno = lineno + 1, lineno + text.count("\n")
-                if ("#" not in text and ":" not in text
-                        and set(map(len, map(str.split, text.split("\n")))) <= {0, 2}):
-                    tokens, n = text.split(), len(coeffs)
-                    try:
-                        coeffs.extend(map(float, tokens[0::2]))
-                        probs.extend(map(float, tokens[1::2]))
-                        continue
-                    except ValueError:
-                        del coeffs[n:], probs[n:]
-                for k, raw in enumerate(text.split("\n"), start=first):
-                    line = raw.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    if line.lower().startswith("independent:"):
-                        flag = line.split(":", 1)[1].strip().lower()
-                        if flag not in ("true", "false"):
-                            raise _UsageError(
-                                f"{path}:{k}: independent must be true or false, got {flag!r}"
-                            )
-                        independent = flag == "true"
-                        continue
-                    parts = line.split()
-                    if len(parts) != 2:
-                        raise _UsageError(
-                            f"{path}:{k}: expected 'coefficient probability', got {line!r}"
-                        )
-                    try:
-                        coeffs.append(float(parts[0]))
-                        probs.append(float(parts[1]))
-                    except ValueError:
-                        raise _UsageError(f"{path}:{k}: not numeric: {line!r}") from None
-    except OSError as exc:
-        raise _UsageError(f"cannot read sum spec {path!r}: {exc}") from None
-    except UnicodeDecodeError:
-        # The codec's position is into a decode chunk; a BOM decodes as UTF-8.
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = data[:exc.start]
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise _UsageError(
-                f"'utf-8' codec can't decode byte 0x{data[exc.start]:02x} at "
-                f"{path}:{line} (file offset {exc.start}): {exc.reason}"
-            ) from None
-        raise
-    if not coeffs:
-        raise _UsageError(f"{path}: no terms found")
+def _read_sum_spec(path: str, reader: SpecReader | None = None) -> WeightedIndicatorSum:
+    """The sum the spec file at path declares (spec.read_terms), taken from
+    the start-up's reader when it read that path, else read here."""
+    terms = reader.take(path) if reader is not None else None
+    coeffs, probs, independent = terms or read_terms(path)
     return WeightedIndicatorSum(np.frombuffer(coeffs), np.frombuffer(probs),
                                 independent=independent)
 
@@ -191,7 +121,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if args.spec is not None:
         if args.coeffs is not None or args.probs is not None:
             raise _UsageError("give either a spec file or --coeffs/--probs, not both")
-        s = _read_sum_spec(args.spec)
+        s = _read_sum_spec(args.spec, args.spec_reader)
     else:
         if args.probs is None:
             raise _UsageError("need a sum: either a spec file or --probs")
@@ -345,9 +275,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: Sequence[str] | None = None, spec_reader: SpecReader | None = None) -> int:
+    """Run the command line on argv (default sys.argv[1:]).  spec_reader is
+    the reader that `python -m subgauss` forked for the spec, if any; the
+    caller closes it."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.spec_reader = spec_reader
     try:
         return args.fn(args)
     except _UsageError as exc:

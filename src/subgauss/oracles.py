@@ -437,13 +437,17 @@ def sum_log_mgf_curve(s: WeightedIndicatorSum) -> LogMgfCurve:
 
     Term j, c(j) X(j), peaks in g at t(j) = 2 log_odds(p(j)) / c(j) or is
     monotone on each sign of t, so g of the sum falls past the largest
-    |t(j)|; the hint is four times that, the indicator curve's rule.
+    |t(j)|; the hint is four times that, the indicator curve's rule, with
+    |2 log_odds| taken as at least 1.  That floor keeps the window of a
+    tiny weight at p near 1/2, where log_odds is about 0, wide enough to
+    be read scaled (g unscaled is then subnormal noise); it moves no window
+    while every weight is at least 1/15, since the grid reaches |t| = 60.
     """
     c, p = s.coeffs, s.p_values
     variance = math.fsum((c * c * p * (1.0 - p)).tolist())
     live = (p > 0.0) & (p < 1.0) & (c != 0.0)
     with np.errstate(over="ignore"):  # an inf hint is refused by the numeric norm
-        peaks = np.abs(2.0 * _log_odds(p[live]) / c[live])
+        peaks = np.maximum(np.abs(2.0 * _log_odds(p[live])), 1.0) / np.abs(c[live])
     return LogMgfCurve(
         fn=lambda lam: exact_sum_log_mgf(s, lam),
         variance=variance,

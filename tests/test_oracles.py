@@ -816,14 +816,24 @@ class TestSumLogMgf:
         # windows below 2^500, read unscaled: the values before scaling existed
         ([1e-140], [0.1], "0x1.2652f34e71166p-467"),
         ([1e-149], [0.1], "0x1.3c072c065e2b0p-497"),
-        # subnormal log-MGF values: an unscaled row keeps reading them
-        ([1e-160], [0.5], "0x1.5369480174810p-533"),
+        # p = 1/2: the window comes from the hint's floor of 1 on |2 log_odds|
+        ([1e-140], [0.5], "0x1.58e861fcca0f2p-467"),
         ([1.5, -0.5, 1.0], [0.2, 0.6, 0.4], "0x1.413575e5c4422p-1"),
         ([0.01], [0.1], "0x1.8b724bac1ee21p-9"),
     ])
     def test_unscaled_windows_keep_their_bits(self, coeffs, probs, bits):
         s = WeightedIndicatorSum(coeffs, probs)
         assert subgaussian_norm_numeric(sum_log_mgf_curve(s)).value.hex() == bits
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1.0, 0.5, 1e-150, 1e-155, 1e-160, 1e-200, 1e-300])
+    def test_tiny_weight_near_half_reads_c_q(self, c):
+        # log_odds is about 0 near p = 1/2, so without the hint's floor the
+        # window of a tiny weight stays unscaled and reads subnormal g
+        for p in (0.5, 0.5 + 1e-12, 0.5 - 2.0 ** -54, 0.1):
+            got = subgaussian_norm_numeric(sum_log_mgf_curve(WeightedIndicatorSum([c], [p])))
+            want = c * q_norm(p).value
+            assert abs(got.value - want) <= 2.2e-16 * want, (p, got.value, want)
 
     def test_curve_hint_skips_null_terms(self):
         s = WeightedIndicatorSum([0.0, 2.0, 5.0, 1.0], [0.3, 0.1, 0.0, 1.0])

@@ -672,7 +672,7 @@ class TestCliMisc:
         # what the console-script wrapper generated for [project.scripts] runs
         wrapper = (
             "import sys; sys.argv[0] = 'subgauss'; "
-            "from subgauss.cli import main; sys.exit(main())"
+            "from subgauss.__main__ import main; sys.exit(main())"
         )
         r = subprocess.run(
             [sys.executable, "-c", wrapper, "--version"],
@@ -691,7 +691,7 @@ class TestCliMisc:
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
         with open(pyproject, "rb") as fh:
             meta = tomllib.load(fh)
-        assert meta["project"]["scripts"] == {"subgauss": "subgauss.cli:main"}
+        assert meta["project"]["scripts"] == {"subgauss": "subgauss.__main__:main"}
 
 
 # Test-local copies of the hand-written mappings the serializers used before

@@ -1,13 +1,22 @@
 """The sum spec reader against a reference line loop.
 
-_read_sum_spec reads a spec once, in steps of _SPEC_CHUNK characters, and
-takes each step in bulk or hands it to its line-by-line body.  On every
-input it must give what _reference, a plain line loop over the whole
-file, gives: bitwise the same arrays and independence flag, or the same
-_UsageError text.
+spec.read_terms, which cli._read_sum_spec runs in process, reads a spec
+once, in steps of _SPEC_CHUNK characters, and takes each step in bulk or
+hands it to its line-by-line body.  On every input it must give what
+_reference, a plain line loop over the whole file, gives: bitwise the same
+arrays and independence flag, or the same _UsageError text.
+
+`python -m subgauss bound SPEC` may take the spec from a reader process
+(spec.SpecReader) that ran read_terms while numpy imported; its stdout,
+stderr and exit code must be those of cli.main in this process.
 """
 
+import os
+import subprocess
+import sys
+import tempfile
 from array import array
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,9 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subgauss.cli as cli_module
+import subgauss.spec as spec_module
 
 BOM = "\ufeff"
-CHUNK = cli_module._SPEC_CHUNK
+CHUNK = spec_module._SPEC_CHUNK
 
 
 def _reference(path: str) -> tuple[bytes, bytes, bool]:
@@ -75,7 +85,7 @@ def _same(path, text: str, chunk: int = CHUNK):
     """The reader's terms or error text on text, asserted to be the reference's."""
     path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(cli_module, "WeightedIndicatorSum", _terms), \
-            mock.patch.object(cli_module, "_SPEC_CHUNK", chunk):
+            mock.patch.object(spec_module, "_SPEC_CHUNK", chunk):
         got = _outcome(cli_module._read_sum_spec, str(path))
     assert got == _outcome(_reference, str(path))
     return got
@@ -297,7 +307,7 @@ def _recorder():
 def test_plain_steps_go_in_bulk(spec_path):
     text = _long_spec(8000, header="")
     recorder = _recorder()
-    with mock.patch.object(cli_module, "array", recorder):
+    with mock.patch.object(spec_module, "array", recorder):
         # no step goes line by line
         _same(spec_path, text)
         assert recorder.appends == 0
@@ -326,7 +336,7 @@ def test_each_token_is_converted_once(spec_path):
         calls.append(token)
         return float(token)
 
-    with mock.patch.object(cli_module, "float", counted, create=True):
+    with mock.patch.object(spec_module, "float", counted, create=True):
         got = _same(spec_path, text)
     assert len(calls) == 2 * 8000 and not got[2]
 
@@ -404,6 +414,105 @@ def test_valid_spec_is_opened_once(spec_path):
         opened.append(args)
         return open(*args, **kwargs)
 
-    with mock.patch.object(cli_module, "open", counted, create=True):
+    with mock.patch.object(spec_module, "open", counted, create=True):
         _same(spec_path, BOM + _long_spec(8000))
     assert opened == [(str(spec_path), "r")]
+
+
+# -- the start-up's reader process against cli.main in this process ---------
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _entry(args, cwd=None, threads="2"):
+    """stdout, stderr and exit code of `python -m subgauss ARGS`."""
+    env = dict(os.environ, SUBGAUSS_THREADS=threads)
+    # absolute, so that a run from another directory still finds the package
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-m", "subgauss", *args], capture_output=True,
+                       text=True, env=env, cwd=cwd, timeout=120)
+    return r.stdout, r.stderr, r.returncode
+
+
+def _in_process(capsys, args):
+    code = cli_module.main(args)
+    return (*capsys.readouterr(), code)
+
+
+def _spec_error(text: str) -> bool:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "probe.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return isinstance(_outcome(_reference, str(path)), str)
+
+
+def _same_error(capsys, path):
+    args = ["bound", str(path)]
+    got = _entry(args)
+    assert got[2] == 2 and got[0] == "" and got[1].startswith("error: ")
+    assert got == _in_process(capsys, args)
+
+
+@pytest.mark.parametrize("text", [text for text, _ in EDGE_CASES if _spec_error(text)])
+def test_reader_reports_spec_errors_as_main_does(tmp_path, capsys, text):
+    spec = tmp_path / "sum.txt"
+    spec.write_bytes(text.encode("utf-8"))
+    _same_error(capsys, spec)
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_reader_reports_late_faults_as_main_does(tmp_path, capsys, fault):
+    spec = tmp_path / "sum.txt"
+    if fault.startswith("#"):
+        spec.write_text(("\n" + fault + "\n") * CHUNK)
+    else:
+        spec.write_text(_long_spec(3000) + fault + "\n")
+    _same_error(capsys, spec)
+
+
+@pytest.mark.parametrize("bom", [b"", BOM.encode("utf-8")])
+def test_reader_reports_invalid_utf8_as_main_does(tmp_path, capsys, bom):
+    spec = tmp_path / "sum.txt"
+    spec.write_bytes(bom + _long_spec(3000).encode("utf-8") + b"1 0.\xff5\n")
+    args = ["bound", str(spec)]
+    got = _entry(args)
+    assert "(file offset" in got[1]
+    assert got == _in_process(capsys, args)
+
+
+def test_unreadable_paths_fail_as_in_main(tmp_path, capsys):
+    # no regular file, so no reader: the messages are main's own
+    for path in [tmp_path / "missing.txt", tmp_path]:
+        args = ["bound", str(path)]
+        got = _entry(args)
+        assert got[2] == 2 and got[1].startswith("error: cannot read sum spec")
+        assert got == _in_process(capsys, args)
+
+
+def test_reader_terms_run_as_main_before_and_after_options(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "sum.txt"
+    spec.write_text(_long_spec(20_000))
+    # an option value that names a regular file is the reader's guess, wrongly
+    (tmp_path / "0,1").write_text("1 0.5\n")
+    monkeypatch.chdir(tmp_path)
+    for args in (["bound", str(spec), "--format", "json"],
+                 ["bound", "--x-grid", "0,1", str(spec)],
+                 ["bound", "--x-grid", "0,1", "sum.txt", "--format", "json"],
+                 ["bound", "0,1", "--x-grid", "0,1"]):
+        want = _in_process(capsys, args)
+        assert want[2] == 0
+        for threads in ("1", "2"):
+            assert _entry(args, cwd=tmp_path, threads=threads) == want
+
+
+def test_invalid_thread_cap_fails_where_main_fails(tmp_path, capsys, monkeypatch):
+    # no reader starts; the cap is first read by the Monte Carlo threads
+    spec = tmp_path / "sum.txt"
+    spec.write_text("".join(f"{1 + k / 100} 0.3\n" for k in range(25)))
+    monkeypatch.setenv("SUBGAUSS_THREADS", "two")
+    runs = []
+    for args in (["bound", str(spec), "--mc-samples", "2000"], ["bound", "--probs", "0.5"]):
+        runs.append(_in_process(capsys, args))
+        assert _entry(args, threads="two") == runs[-1]
+    (_, mc_err, mc_code), (_, _, inline_code) = runs
+    assert mc_code == 2 and "SUBGAUSS_THREADS" in mc_err and inline_code == 0
