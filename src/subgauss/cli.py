@@ -93,8 +93,8 @@ def _note(text: str) -> None:
 
 
 def _read_sum_spec(path: str, reader: SpecReader | None = None) -> WeightedIndicatorSum:
-    """The sum the spec file at path declares (spec.read_terms), taken from
-    the start-up's reader when it read that path, else read here."""
+    """The sum the spec file at path declares (spec.read_terms), from the start-up's
+    reader when it read that path and its message loads whole, else read here."""
     terms = reader.take(path) if reader is not None else None
     coeffs, probs, independent = terms or read_terms(path)
     return WeightedIndicatorSum(np.frombuffer(coeffs), np.frombuffer(probs),

@@ -472,12 +472,11 @@ def subgaussian_norm_numeric(curve: LogMgfCurve) -> SubgaussianNorm | list[Subga
     1e-8 <= |t| <= max(60, lambda_hint) (a bare callable has no hint),
     refines the best cell on each side by golden-section search, and
     includes the exact t -> 0 variance limit as a candidate when the curve
-    declares its variance.  The reported value is a lower bound of the true
-    supremum; for unimodal g inside the window it matches the supremum to
-    roughly the accuracy of the curve evaluations themselves.  A window
-    past 2^500 (a sum with a weight below about 1e-150) reads g
-    scaled by a power of two, so that squares stay in range; an infinite
-    hint, or a curve too wide for one scaling, raises DomainError.
+    declares its variance.  For unimodal g inside the window the value lies
+    within about the curve's evaluation error of the supremum, on either
+    side.  A window past 2^500 (a sum with a weight below about 1e-150)
+    reads g scaled by a power of two, so that squares stay in range; an
+    infinite hint, or a curve too wide for one scaling, raises DomainError.
 
     A batch curve (``rows`` = R) gives a list of R norms, one per row, from
     one grid evaluation and one lockstep golden-section search over all
@@ -507,12 +506,12 @@ def subgaussian_norm_numeric(curve: LogMgfCurve) -> SubgaussianNorm | list[Subga
     # past 2^500, g reads 4^j g = curve / (t 2^-j)^2, the window's end at 2^400 (room
     # below for larger weights); a log-MGF value below the normal range is noise: g = 0
     j = np.array([max(_binary_scale(v) - 400, 0) for v in lam_max.tolist()])
-    tiny, scaled = sys.float_info.min, j[:, None] > 0
+    tiny = sys.float_info.min
 
     def scaled_g(t: np.ndarray) -> np.ndarray:  # t is (rows, n)
         lmgf, sq = curve(t), np.square(np.ldexp(t, -j[:, None]))
-        keep = ~scaled | (np.abs(lmgf) >= tiny)
-        if np.any(keep & scaled & (sq < tiny)):
+        keep = ~(np.abs(lmgf) < tiny)  # NaN is kept, to fail the finiteness check
+        if np.any(keep & (sq < tiny)):  # an unscaled row's t^2 is at least 1e-16
             raise DomainError("log-MGF curve spans more scales than one search window holds")
         return np.divide(lmgf, sq, out=np.zeros(sq.shape), where=keep)
 
@@ -540,9 +539,9 @@ def subgaussian_norm_numeric(curve: LogMgfCurve) -> SubgaussianNorm | list[Subga
             f"after {res.iterations} iterations"
         )
 
-    # the t -> 0 limit; a subnormal variance lacks the digits a scaled row needs
+    # the t -> 0 limit; a subnormal variance is noise, as a subnormal log-MGF value is
     var = per_row(-math.inf if curve.variance is None else curve.variance)
-    best = np.where((j > 0) & (var < tiny), -math.inf, np.ldexp(0.5 * var, 2 * j))
+    best = np.where(var < tiny, -math.inf, np.ldexp(0.5 * var, 2 * j))
     # max(best, x) in the order of a one-sign-at-a-time scan
     for sign in (0, 1):
         for x in (g_best[:, sign], res.value[:, sign]):

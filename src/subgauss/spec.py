@@ -7,11 +7,12 @@ is the one reader of that grammar and its error messages.
 This module imports only the standard library, so that `python -m subgauss`
 can fork a SpecReader before it imports numpy: the reader parses the spec on
 another CPU while the parent imports the package, and hands back the terms
-or the UsageError text through a pipe.
+or the UsageError text through a pipe as one marshal message.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
 from array import array
 from typing import Sequence
@@ -105,12 +106,13 @@ def read_terms(path: str) -> tuple[array, array, bool]:
 class SpecReader:
     """A forked process running read_terms on one path.
 
-    Its message on the pipe is 'T n independent\\n' and the n coefficients
-    and n probabilities as native doubles, or 'E\\n' and the UsageError
-    text.  It exits 0 only after a whole message; a reader that fails any
-    other way leaves its caller to read the spec itself, which meets the
-    same failure in its own process.  Fork it only while the process runs
-    one thread.
+    Its one marshal message on the pipe is read_terms' (coefficients,
+    probabilities, independent), the arrays as bytes, or the UsageError
+    text.  marshal is self-delimiting: a message that does not load whole
+    is one the reader never finished, and its caller reads the spec itself,
+    meeting the same failure in its own process.  The pipe joins the parent
+    to its own child only, so the data is trusted.  close() is the reader's
+    one end.  Fork it only while the process runs one thread.
     """
 
     def __init__(self, path: str):
@@ -118,78 +120,51 @@ class SpecReader:
         fd_read, fd_write = os.pipe()
         pid = os.fork()
         if pid == 0:  # the reader: never returns
-            status = 1
             try:
                 os.close(fd_read)
-                _send(fd_write, path)
-                status = 0
+                try:
+                    message = read_terms(path)
+                except UsageError as exc:
+                    message = str(exc)
+                with os.fdopen(fd_write, "wb") as fh:
+                    marshal.dump(message, fh)
             finally:
-                os._exit(status)
+                os._exit(0)
         os.close(fd_write)
         self._pid: int | None = pid
         self._fd: int | None = fd_read
 
-    def take(self, path: str) -> tuple[memoryview, memoryview, bool] | None:
+    def take(self, path: str) -> tuple[bytes, bytes, bool] | None:
         """read_terms(path) as the reader read it, or None when it read
-        another path or sent no whole message.  Raises the reader's
-        UsageError.  Ends the reader either way."""
+        another path or its message does not load whole.  Raises the
+        reader's UsageError.  Ends the reader either way."""
         try:
             if path != self.path:
                 return None
-            fd, self._fd = self._fd, None
-            with os.fdopen(fd, "rb") as fh:
-                head = fh.readline().split()
-                if head == [b"E"]:
-                    message = fh.read()
-                elif len(head) == 3 and head[0] == b"T":
-                    size = int(head[1])
-                    data = bytearray(16 * size)
-                    fh.readinto(data)
-                    terms = memoryview(data).cast("d")
-                    message = terms[:size], terms[size:], head[2] == b"1"
-                else:
-                    return None
-            if self._wait() != 0:
-                return None
+            with os.fdopen(self._fd, "rb", closefd=False) as fh:
+                message = marshal.load(fh)
+        except (EOFError, ValueError, TypeError):
+            return None
         finally:
             self.close()
-        if isinstance(message, bytes):
-            raise UsageError(message.decode("utf-8", "surrogatepass"))
+        if isinstance(message, str):
+            raise UsageError(message)
         return message
 
-    def _wait(self, kill: bool = False) -> int | None:
-        """Reap the reader, killed first if asked: its exit code, or None
-        where the system reaped it already (SIGCHLD ignored)."""
-        pid, self._pid = self._pid, None
-        try:
-            if kill:
-                import signal
-
-                os.kill(pid, signal.SIGKILL)  # a zombie until reaped
-            return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        except (ProcessLookupError, ChildProcessError):
-            return None
-
     def close(self) -> None:
-        """Kill and reap the reader if it still runs, and close the pipe."""
+        """Kill and reap the reader (harmless once it has exited); close the pipe."""
         if self._pid is not None:
-            self._wait(kill=True)
+            import signal
+
+            pid, self._pid = self._pid, None
+            try:
+                os.kill(pid, signal.SIGKILL)  # a zombie until reaped
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # the system reaped it (SIGCHLD ignored)
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
-
-
-def _send(fd: int, path: str) -> None:
-    """read_terms(path), or its UsageError text, written to fd as one message."""
-    try:
-        coeffs, probs, independent = read_terms(path)
-    except UsageError as exc:
-        parts = [b"E\n", str(exc).encode("utf-8", "surrogatepass")]
-    else:
-        parts = [b"T %d %d\n" % (len(coeffs), independent), coeffs, probs]
-    with os.fdopen(fd, "wb") as fh:
-        for part in parts:
-            fh.write(part)
 
 
 def start_reader(argv: Sequence[str]) -> SpecReader | None:

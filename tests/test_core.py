@@ -378,13 +378,22 @@ class TestNumericSup:
             subgaussian_norm_numeric(LogMgfCurve(fn=lambda t: t + 1.0))
 
     def test_rejects_nonfinite_curve(self):
-        with pytest.raises(DomainError):
-            subgaussian_norm_numeric(LogMgfCurve(fn=lambda t: np.where(t == 0, 0.0, np.inf)))
+        # NaN too: a value is dropped as subnormal noise only when it is below the normal range
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="not finite"):
+                subgaussian_norm_numeric(LogMgfCurve(fn=lambda t: np.where(t == 0, 0.0, bad)))
 
     def test_variance_candidate_used_for_flat_window(self):
         # g = 0.1 on the whole window, below the declared variance / 2
         curve = LogMgfCurve(fn=lambda t: 0.1 * t * t, variance=0.25)
         assert subgaussian_norm_numeric(curve).value == math.sqrt(0.125)
+
+    @pytest.mark.parametrize("variance", [None, 2e-310])
+    def test_subnormal_values_read_zero_on_an_unscaled_window(self, variance):
+        # log-MGF values and a variance below the normal range are noise,
+        # whether or not the window is scaled
+        curve = LogMgfCurve(fn=lambda t: np.minimum(t * t, 1.0) * 1e-310, variance=variance)
+        assert subgaussian_norm_numeric(curve).value == 0.0
 
 
 class TestMomentNorms:

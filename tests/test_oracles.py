@@ -826,14 +826,23 @@ class TestSumLogMgf:
         assert subgaussian_norm_numeric(sum_log_mgf_curve(s)).value.hex() == bits
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("c", [1.0, 0.5, 1e-150, 1e-155, 1e-160, 1e-200, 1e-300])
+    @pytest.mark.parametrize("c", [1.0, 0.5, 1e-146, 1e-147, 1e-148, 1e-149, 1e-150,
+                                   1e-155, 1e-160, 1e-200, 1e-300])
     def test_tiny_weight_near_half_reads_c_q(self, c):
         # log_odds is about 0 near p = 1/2, so without the hint's floor the
-        # window of a tiny weight stays unscaled and reads subnormal g
-        for p in (0.5, 0.5 + 1e-12, 0.5 - 2.0 ** -54, 0.1):
+        # window of a tiny weight stays unscaled and reads subnormal g; below
+        # 2^500 it stays unscaled anyway, and its subnormal log-MGF values are noise
+        for p in (0.5, 0.5 + 1e-12, 0.5 - 2.0 ** -54):
             got = subgaussian_norm_numeric(sum_log_mgf_curve(WeightedIndicatorSum([c], [p])))
             want = c * q_norm(p).value
             assert abs(got.value - want) <= 2.2e-16 * want, (p, got.value, want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1.0, 0.5, 1e-150, 1e-155, 1e-160, 1e-200, 1e-300])
+    def test_tiny_weight_off_half_reads_c_q(self, c):
+        got = subgaussian_norm_numeric(sum_log_mgf_curve(WeightedIndicatorSum([c], [0.1])))
+        want = c * q_norm(0.1).value
+        assert abs(got.value - want) <= 2.2e-16 * want, (got.value, want)
 
     def test_curve_hint_skips_null_terms(self):
         s = WeightedIndicatorSum([0.0, 2.0, 5.0, 1.0], [0.3, 0.1, 0.0, 1.0])

@@ -489,6 +489,27 @@ def test_unreadable_paths_fail_as_in_main(tmp_path, capsys):
         assert got == _in_process(capsys, args)
 
 
+def test_undecodable_file_name_fails_as_in_main(tmp_path):
+    # argv holds the name's 0xff as a lone surrogate; the reader's message
+    # carries it in the error text to the stderr main writes
+    name = b"bad\xff.spec"
+    with open(os.path.join(os.fsencode(tmp_path), name), "wb") as fh:
+        fh.write(b"1 0.5\n2\n")
+
+    def run(start, threads):
+        env = dict(os.environ, SUBGAUSS_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+        r = subprocess.run([sys.executable, *start, "bound", name], capture_output=True,
+                           env=env, cwd=tmp_path, timeout=120)
+        return r.returncode, r.stdout, r.stderr
+
+    want = run(["-c", "import sys, subgauss.cli as cli; sys.exit(cli.main())"], "2")
+    assert want == (2, b"", b"error: bad\\udcff.spec:2: expected 'coefficient probability', "
+                                b"got '2'\n")
+    for threads in ("1", "2"):
+        assert run(["-m", "subgauss"], threads) == want
+
+
 def test_reader_terms_run_as_main_before_and_after_options(tmp_path, capsys, monkeypatch):
     spec = tmp_path / "sum.txt"
     spec.write_text(_long_spec(20_000))

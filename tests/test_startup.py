@@ -69,27 +69,33 @@ def test_dir_and_star_import_list_the_api():
 
 
 # Runs the start-up with read_terms logging which process read which path.
+# Mode "cut" ends the reader's message one byte short; "sigchld-ignored"
+# lets the system reap the reader.
 _LOGGED = """
-import os, sys
+import os, signal, sys
 import subgauss.spec as spec
 from subgauss.__main__ import main
 
-log, read_terms = sys.argv.pop(1), spec.read_terms
+log, mode, read_terms = sys.argv.pop(1), sys.argv.pop(1), spec.read_terms
 
 def logged(path):
     with open(log, "a") as fh:
         fh.write(f"{os.getpid() == parent} {path}\\n")
     return read_terms(path)
 
+if mode == "cut":
+    spec.marshal.dump = lambda value, fh: fh.write(spec.marshal.dumps(value)[:-1])
+elif mode == "sigchld-ignored":
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
 parent, spec.read_terms = os.getpid(), logged
 sys.exit(main())
 """
 
 
-def _readers(tmp_path, *args, threads="2"):
+def _readers(tmp_path, *args, threads="2", mode="whole"):
     log = tmp_path / "read.log"
     log.unlink(missing_ok=True)
-    r = _python(_LOGGED, str(log), *args, threads=threads, cwd=tmp_path)
+    r = _python(_LOGGED, str(log), mode, *args, threads=threads, cwd=tmp_path)
     return r, log.read_text().splitlines() if log.exists() else []
 
 
@@ -109,13 +115,24 @@ def test_reader_process_reads_the_spec_when_the_cap_allows(tmp_path):
     # a usage error before the spec is read ends the reader unused
     r, _ = _readers(tmp_path, "bound", str(spec), "--probs", "0.5")
     assert r.returncode == 2 and "not both" in r.stderr
-    # where the system reaps children itself, the reader's exit is unknown:
-    # the spec is read in process
-    r = _python("import signal, sys\n"
-                "signal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
-                "from subgauss.__main__ import main\n"
-                "sys.exit(main())", "bound", str(spec), "--x-grid", "0,1")
-    assert (r.returncode, r.stdout) == (0, out)
+    # where the system reaps children itself, the reader's message still serves
+    r, reads = _readers(tmp_path, "bound", str(spec), "--x-grid", "0,1",
+                        mode="sigchld-ignored")
+    assert (r.returncode, r.stdout) == (0, out) and reads == [f"False {spec}"]
+
+
+def test_a_message_cut_short_is_read_in_process(tmp_path):
+    spec = tmp_path / "sum.txt"
+    bad = tmp_path / "bad.txt"
+    spec.write_text("independent: false\n1 0.5\n-2 0.25\n")
+    bad.write_text("1 0.5\n2\n")
+    for path in (spec, bad):
+        args = ("bound", str(path), "--x-grid", "0,1")
+        want, _ = _readers(tmp_path, *args, threads="1")
+        r, reads = _readers(tmp_path, *args, mode="cut")
+        assert (r.returncode, r.stdout, r.stderr) == (want.returncode, want.stdout, want.stderr)
+        assert reads == [f"False {path}", f"True {path}"]
+    assert want.returncode == 2 and f"{bad}:2: expected" in want.stderr
 
 
 def test_in_process_callers_never_fork(tmp_path, capsys, monkeypatch):
