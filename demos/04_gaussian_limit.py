@@ -10,6 +10,10 @@ phi(x)/x ~ exp(-x^2/2) / (x sqrt(2 pi)), so the measured ratio
 should flatten toward a constant of order 1/sqrt(2 pi) ~ 0.3989 as n and
 x grow.  The exact binomial tables let us watch that happen with no
 sampling error at all.
+
+exact_tail computes the two-sided tail max(P(T > x), P(T < -x)); the
+fair-coin law is symmetric, so that is P(T > x).  A one-sided tail of any
+other law is one line over table.support and table.masses.
 """
 
 import math
@@ -22,7 +26,7 @@ for n in (64, 256, 1024, 4096, 16384):
     rn = math.sqrt(n)
     row = [f"{n:8d}"]
     for x in (1.0, 1.5, 2.0, 2.5):
-        tail = exact_tail(table, x * rn / 2.0, side="upper")
+        tail = exact_tail(table, x * rn / 2.0)
         row.append(f"{tail * x * math.exp(x * x / 2):10.6f}")
     print(" ".join(row))
 
@@ -32,5 +36,5 @@ print()
 print("the bound itself is never crossed; at n = 4096:")
 table = poisson_binomial_table([0.5] * 4096)
 for x in (1.0, 2.0, 3.0):
-    tail = exact_tail(table, x * 32.0, side="upper")
+    tail = exact_tail(table, x * 32.0)
     print(f"  x = {x}: exact {tail:.6e}  <=  bound {math.exp(-x * x / 2):.6e}")

@@ -201,7 +201,7 @@ def _cmd_example32(args: argparse.Namespace) -> int:
     rn = math.sqrt(n)
     rows = []
     for x in kept:
-        tail = exact_tail(table, x * rn / 2.0, side="upper")
+        tail = exact_tail(table, x * rn / 2.0)
         gauss = hoeffding_reference_tail(x)
         rows.append((x, tail, gauss, tail * x * math.exp(x * x / 2.0)))
     _emit_rows(rows, ("x", "scaled_tail", "gauss_bound", "ratio"), args.format)
@@ -263,8 +263,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p_v)
     p_v.set_defaults(fn=_cmd_verify)
 
-    p_e = sub.add_parser("example32",
-                         help="normalized fair-coin sum vs the exp(-x^2/2) bound")
+    p_e = sub.add_parser("example32", help="normalized fair-coin sum vs the exp(-x^2/2) bound",
+                         description="Exact P(T > x), T = 2 S(n) / sqrt(n) over n fair coins: "
+                                     "the law is symmetric, so this is the two-sided tail.")
     p_e.add_argument("--n", type=int, default=4096, help="number of coins (default 4096)")
     p_e.add_argument("--x-grid", default="0.5:3:6",
                      help="threshold grid start:stop:count or comma list "

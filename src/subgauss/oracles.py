@@ -4,7 +4,8 @@ Everything the bound side of the package claims is checkable against the
 routines here: exact Poisson-binomial laws by dynamic-programming
 convolution, brute-force enumeration of small weighted sums, seeded Monte
 Carlo tail estimates with Wilson confidence intervals, and the exact log-MGF
-of an independent weighted sum.
+of an independent weighted sum.  Every tail oracle computes max(P(S > x),
+P(S < -x)), the strict two-sided tail that exp(-x^2 / (4 B^2)) bounds.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .sums import WeightedIndicatorSum
 __all__ = [
     "DistributionTable",
     "McEstimate",
-    "Side",
     "WILSON_Z_99",
     "MC_BLOCK_SIZE",
     "poisson_binomial_table",
@@ -37,8 +37,6 @@ __all__ = [
     "exact_sum_log_mgf",
     "sum_log_mgf_curve",
 ]
-
-Side = Literal["upper", "lower", "max_both"]
 
 # Two-sided 99% normal quantile, Phi^-1(0.995), frozen.
 WILSON_Z_99 = 2.5758293035489004
@@ -197,51 +195,33 @@ def poisson_binomial_table(probs: Iterable[ProbabilityLike]) -> DistributionTabl
     return DistributionTable(support, mass[1:])
 
 
-def _cut(values: np.ndarray, xs, strict: bool):
+def _cut(values: np.ndarray, xs):
     """Where thresholds xs split sorted values: values[i:] are above x and
-    values[:j] below -x, or at them too if not strict; returns (i, j)."""
-    up, lo = ("right", "left") if strict else ("left", "right")
-    return np.searchsorted(values, xs, up), np.searchsorted(values, -xs, lo)
+    values[:j] below -x, strictly; returns (i, j)."""
+    return np.searchsorted(values, xs, "right"), np.searchsorted(values, -xs, "left")
 
 
-def _side(side: Side):
-    """The side rule: a function of (upper, lower) tails giving one or their maximum."""
-    if side == "upper":
-        return lambda upper, lower: upper
-    if side == "lower":
-        return lambda upper, lower: lower
-    if side == "max_both":
-        return np.maximum
-    raise DomainError(f"unknown side {side!r}")
-
-
-def _sorted_tail(values, masses, x: float, side: Side, strict: bool) -> float:
+def _sorted_tail(values, masses, x: float) -> float:
     """fsum tail of atoms in sorted order, duplicates allowed; see exact_tail."""
     if math.isnan(x):
         raise DomainError("threshold must not be NaN")
-    pick = _side(side)
-    i, j = _cut(values, x, strict)
-    return float(pick(math.fsum(masses[i:].tolist()), math.fsum(masses[:j].tolist())))
+    i, j = _cut(values, x)
+    return max(math.fsum(masses[i:].tolist()), math.fsum(masses[:j].tolist()))
 
 
-def exact_tail(
-    table: DistributionTable, x: float, side: Side = "max_both", strict: bool = True
-) -> float:
-    """Exact tail mass of a tabulated law.
+def exact_tail(table: DistributionTable, x: float) -> float:
+    """Exact two-sided tail max(P(S > x), P(S < -x)) of a tabulated law.
 
-    upper is P(S > x), lower is P(S < -x) (the mirrored threshold, so
-    max_both is exactly the quantity the subgaussian tail bound controls).
-    Comparisons are strict by default; strict=False gives the weak variants
-    P(S >= x) and P(S <= -x).  Selected masses are summed with fsum, which
-    rounds correctly, so the result does not depend on atom order.
+    This is the quantity the subgaussian tail bound controls.  Selected
+    masses are summed with fsum, which rounds correctly, so the result
+    does not depend on atom order.  A one-sided or weak tail is one line
+    over table.support and table.masses, e.g. fsum(masses[support > x]).
     """
-    return _sorted_tail(table.support, table.masses, x, side, strict)
+    return _sorted_tail(table.support, table.masses, x)
 
 
-def tail_curve(
-    table: DistributionTable, xs, side: Side = "max_both", strict: bool = True
-) -> np.ndarray:
-    """Vectorized tails over a threshold grid via cumulative sums.
+def tail_curve(table: DistributionTable, xs) -> np.ndarray:
+    """exact_tail over a threshold grid, vectorized via cumulative sums.
 
     Accumulates from the extreme ends of the support inward (the small
     masses first for unimodal laws).  At x >= 0 a tail holds at most n - 1
@@ -254,11 +234,10 @@ def tail_curve(
     xs = np.asarray(xs, dtype=float)
     if np.any(np.isnan(xs)):
         raise DomainError("thresholds must not be NaN")
-    pick = _side(side)
     suffix = np.concatenate((np.cumsum(table.masses[::-1])[::-1], [0.0]))
     prefix = np.concatenate(([0.0], np.cumsum(table.masses)))
-    i, j = _cut(table.support, xs, strict)
-    return pick(suffix[i], prefix[j])
+    i, j = _cut(table.support, xs)
+    return np.maximum(suffix[i], prefix[j])
 
 
 def _enumerate_outcomes(s: WeightedIndicatorSum) -> tuple[np.ndarray, np.ndarray]:
@@ -297,10 +276,8 @@ def exhaustive_outcome_table(s: WeightedIndicatorSum) -> DistributionTable:
     return DistributionTable(support, masses)
 
 
-def exhaustive_weighted_tail(
-    s: WeightedIndicatorSum, x: float, side: Side = "max_both", strict: bool = True
-) -> float:
-    """Exact tail of a small independent weighted sum (max of both sides).
+def exhaustive_weighted_tail(s: WeightedIndicatorSum, x: float) -> float:
+    """Exact two-sided tail of a small independent weighted sum, as exact_tail.
 
     Enumerates all 2^m outcomes (m up to _EXHAUSTIVE_CAP) with exact
     product probabilities.  Unlike exhaustive_outcome_table, no atoms are
@@ -308,7 +285,7 @@ def exhaustive_weighted_tail(
     """
     values, probs = _enumerate_outcomes(s)
     order = np.argsort(values, kind="stable")
-    return _sorted_tail(values[order], probs[order], x, side, strict)
+    return _sorted_tail(values[order], probs[order], x)
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -333,9 +310,8 @@ def monte_carlo_tail(
     x: float | Sequence[float],
     n_samples: int,
     seed: int,
-    side: Side = "max_both",
 ) -> McEstimate | tuple[McEstimate, ...]:
-    """Seeded Monte Carlo tail estimates with Wilson-score 99% intervals.
+    """Seeded Monte Carlo estimates of the two-sided tail of exact_tail.
 
     x is one threshold or a 1-d sequence of them; a float returns one
     McEstimate, a sequence a tuple of them in the same order.  One draw
@@ -356,9 +332,8 @@ def monte_carlo_tail(
     _MC_CHUNK_BYTES of uniforms (or one term), so its memory does not grow
     with the number of terms.
 
-    For max_both the point estimate is the larger one-sided proportion and
-    the interval is the Wilson interval of that side's count; the one-sided
-    variants are plain binomial proportions.
+    The point estimate is the larger of the proportions of samples above x
+    and below -x; the interval is the Wilson 99% interval of that count.
     """
     if not s.independent:
         raise DependenceError("Monte Carlo sampling requires independent terms")
@@ -371,7 +346,6 @@ def monte_carlo_tail(
         raise DomainError(f"need n_samples >= 100, got {n_samples}")
     if int(seed) != seed or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    pick = _side(side)
     seed = int(seed)
     curve = np.atleast_1d(xs)
     if curve.size == 0:
@@ -401,13 +375,13 @@ def monte_carlo_tail(
                 vals += term
         vals -= shift
         vals.sort()
-        i, j = _cut(vals, curve, True)
+        i, j = _cut(vals, curve)
         return rows - i, j
 
     counts = ordered_map(run_block, range(n_blocks))
     up = sum(c[0] for c in counts)
     lo = sum(c[1] for c in counts)
-    ks = pick(up, lo)
+    ks = np.maximum(up, lo)
     estimates = tuple(
         McEstimate(k / n_samples, *wilson_interval(k, n_samples), n_samples, seed)
         for k in ks.tolist()

@@ -241,7 +241,7 @@ def _check_domination(start: int, stop: int | None, n_random: int, seed: int,
         _, table = exact_law(s, required=True)
         b = norm_bound_independent(s).value
         xs = np.linspace(0.0, s.abs_range, grid_points)
-        margins = tail_curve(table, xs, side="max_both") - tail_bound_from_norm(b, xs)
+        margins = tail_curve(table, xs) - tail_bound_from_norm(b, xs)
         i = int(np.argmax(margins))
         checked += len(xs)
         # not margin <= tol: a NaN margin or tolerance is a violation

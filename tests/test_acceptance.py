@@ -116,7 +116,7 @@ def test_criterion_7_normalized_fair_sum_vs_gauss_bound():
     ok = True
     ratios = []
     for x, ref in BINOM4096_TAILS.items():
-        tail = exact_tail(table, x * rn / 2.0, side="upper")
+        tail = exact_tail(table, x * rn / 2.0)
         ratio = tail * x * math.exp(x * x / 2.0)
         ratios.append(ratio)
         ok &= tail <= math.exp(-x * x / 2.0)
@@ -153,7 +153,7 @@ def test_criterion_9_oracle_cross_agreement():
     agree_ok = worst <= 1e-14
 
     s = WeightedIndicatorSum([1.0] * 8, [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9])
-    exact = exact_tail(poisson_binomial_table(s.p_values), 1.5, side="max_both")
+    exact = exact_tail(poisson_binomial_table(s.p_values), 1.5)
     hits = sum(
         monte_carlo_tail(s, 1.5, 20_000, seed=k).covers(exact) for k in range(200)
     )

@@ -177,17 +177,17 @@ def bit_loop_outcomes(s):
     return raw - math.fsum((s.coeffs * s.p_values).tolist()), prob
 
 
-def unmerged_tail(s, x, side, strict):
+def two_sided_tail(values, masses, x):
+    """max(P(S > x), P(S < -x)) by direct comparison, atoms in any order:
+    the reference for every tail oracle."""
+    return max(math.fsum(masses[values > x].tolist()),
+               math.fsum(masses[values < -x].tolist()))
+
+
+def unmerged_tail(s, x):
     """Tail summed over all 2^m outcomes, no atoms merged: the reference."""
     values, probs = bit_loop_outcomes(s)
-    if side == "max_both":
-        return max(unmerged_tail(s, x, "upper", strict),
-                   unmerged_tail(s, x, "lower", strict))
-    if side == "upper":
-        sel = values > x if strict else values >= x
-    else:
-        sel = values < -x if strict else values <= -x
-    return math.fsum(np.sort(probs[sel]).tolist())
+    return two_sided_tail(values, probs, x)
 
 
 def enumeration_sum(rng):
@@ -224,14 +224,14 @@ def reference_block_values(s, n_samples, seed):
         yield vals - shift
 
 
-def single_shot_estimates(s, xs, n_samples, seed, side):
+def single_shot_estimates(s, xs, n_samples, seed):
     """Each block drawn whole and counted by comparison: the reference
     that the chunked, sorted sampler must match."""
     up, lo = np.zeros(len(xs), dtype=int), np.zeros(len(xs), dtype=int)
     for vals in reference_block_values(s, n_samples, seed):
         up += [np.count_nonzero(vals > x) for x in xs]
         lo += [np.count_nonzero(vals < -x) for x in xs]
-    ks = {"upper": up, "lower": lo, "max_both": np.maximum(up, lo)}[side]
+    ks = np.maximum(up, lo)
     return tuple(
         McEstimate(k / n_samples, *wilson_interval(k, n_samples), n_samples, seed)
         for k in ks.tolist()
@@ -409,55 +409,76 @@ class TestPoissonBinomialDp:
         # 0, about 1 sigma and about 5 sigma; sigma = sqrt(n) / 2 = 158.1
         for x in (0.0, 158.0, 790.0):
             want = binomial_upper_tail(mpmath, n, n // 2 + int(x))
-            for side in ("upper", "lower", "max_both"):
-                assert abs(exact_tail(t, x, side=side) - want) <= 1e-12
+            assert abs(exact_tail(t, x) - want) <= 1e-12
 
 
 class TestExactTail:
     def test_strict_vs_weak_at_atom(self):
         t = poisson_binomial_table([0.5] * 4)
-        # P(S > 1) = 1/16, P(S >= 1) = 5/16
-        assert exact_tail(t, 1.0, side="upper", strict=True) == 1.0 / 16.0
-        assert exact_tail(t, 1.0, side="upper", strict=False) == 5.0 / 16.0
+        # P(S > 1) = P(S < -1) = 1/16, while P(S >= 1) = 5/16
+        assert exact_tail(t, 1.0) == 1.0 / 16.0
+        assert math.fsum(t.masses[t.support >= 1.0].tolist()) == 5.0 / 16.0
 
     def test_lower_side_is_negated_threshold(self):
-        t = poisson_binomial_table([0.5] * 4)
-        # P(S < -1) = 1/16
-        assert exact_tail(t, 1.0, side="lower") == 1.0 / 16.0
+        # one indicator at p = 0.9: S is 1 - 0.9 or -0.9, so P(S > 0.5) = 0
+        # and the tail is P(S < -0.5); at the atom -0.9 it is strict
+        t = poisson_binomial_table([0.9])
+        assert exact_tail(t, 0.5) == 1.0 - 0.9
+        assert exact_tail(t, 0.9) == 0.0
 
     def test_max_both(self):
         t = exhaustive_outcome_table(WeightedIndicatorSum([1.0, 2.0], [0.1, 0.3]))
         x = 0.5
-        up = exact_tail(t, x, side="upper")
-        lo = exact_tail(t, x, side="lower")
-        assert exact_tail(t, x, side="max_both") == max(up, lo)
+        up = math.fsum(t.masses[t.support > x].tolist())
+        lo = math.fsum(t.masses[t.support < -x].tolist())
+        assert exact_tail(t, x) == max(up, lo)
+
+    def test_every_oracle_is_the_two_sided_reference(self):
+        # skewed laws: p away from 1/2 and mixed-sign weights, so either
+        # side can be the larger; thresholds on atoms of both signs put x
+        # or -x exactly on an atom, where a weak cut would count it
+        rng = np.random.default_rng(29)
+        sums = [
+            WeightedIndicatorSum([1.0], [0.1]),
+            WeightedIndicatorSum([1.0] * 6, [0.1, 0.2, 0.3, 0.35, 0.4, 0.05]),
+            WeightedIndicatorSum([2.0, -1.0, 0.5, -0.25, 1.5], [0.1, 0.7, 0.3, 0.9, 0.2]),
+            WeightedIndicatorSum(rng.normal(scale=2.0, size=9), rng.uniform(0.05, 0.4, size=9)),
+        ]
+        larger = set()
+        for s in sums:
+            t = exhaustive_outcome_table(s)
+            v, mass = t.support, t.masses
+            xs = [0.0, *v[v > 0.0][:3].tolist(), *(-v[v < 0.0][-3:]).tolist(), 99.0]
+            n = t.n_atoms
+            gamma = (n - 1) * 2.0 ** -53 / (1.0 - (n - 1) * 2.0 ** -53)
+            for x, c in zip(xs, tail_curve(t, xs)):
+                want = two_sided_tail(v, mass, x)
+                assert exact_tail(t, x).hex() == want.hex(), (s, x)
+                assert exhaustive_weighted_tail(s, x).hex() == unmerged_tail(s, x).hex()
+                assert abs(c - want) <= gamma * want, (s, x)
+                up = math.fsum(mass[v > x].tolist())
+                lo = math.fsum(mass[v < -x].tolist())
+                larger.add("upper" if up > lo else "lower" if lo > up else "tie")
+        assert {"upper", "lower"} <= larger
 
     def test_rejects_nan(self):
         t = poisson_binomial_table([0.5])
         with pytest.raises(DomainError):
             exact_tail(t, math.nan)
 
-    def test_rejects_unknown_side(self):
-        t = poisson_binomial_table([0.5])
-        with pytest.raises(DomainError):
-            exact_tail(t, 0.0, side="both")
-
     def test_beyond_support_is_zero(self):
         t = poisson_binomial_table([0.5] * 4)
-        assert exact_tail(t, 99.0, side="max_both") == 0.0
+        assert exact_tail(t, 99.0) == 0.0
 
     def test_curve_matches_pointwise(self):
         t = poisson_binomial_table(np.linspace(0.1, 0.9, 30))
         xs = np.linspace(0.0, 10.0, 101)
-        for side in ("upper", "lower", "max_both"):
-            curve = tail_curve(t, xs, side=side)
-            for x, c in zip(xs, curve):
-                assert abs(c - exact_tail(t, float(x), side=side)) < 5e-15
+        for x, c in zip(xs, tail_curve(t, xs)):
+            assert abs(c - exact_tail(t, float(x))) < 5e-15
 
-    def test_curve_weak_inequality(self):
+    def test_curve_strict_at_atom(self):
         t = poisson_binomial_table([0.5] * 4)
-        got = tail_curve(t, np.array([1.0]), side="upper", strict=False)
-        assert got[0] == 5.0 / 16.0
+        assert tail_curve(t, np.array([1.0]))[0] == 1.0 / 16.0
 
 
 class TestEnumeration:
@@ -530,18 +551,13 @@ class TestEnumeration:
         # attained atoms (both signs) make strictness matter
         xs = np.abs(values[:4]).tolist() + [0.0, float(rng.uniform(0.0, 3.0))]
         for x in xs:
-            for side in ("upper", "lower", "max_both"):
-                for strict in (True, False):
-                    got = exhaustive_weighted_tail(s, x, side, strict)
-                    ref = unmerged_tail(s, x, side, strict)
-                    assert got.hex() == ref.hex(), (x, side, strict)
+            got = exhaustive_weighted_tail(s, x)
+            assert got.hex() == unmerged_tail(s, x).hex(), x
 
-    def test_weighted_tail_rejects_nan_and_unknown_side(self):
+    def test_weighted_tail_rejects_nan(self):
         s = WeightedIndicatorSum([1.0, 2.0], [0.5, 0.5])
         with pytest.raises(DomainError):
             exhaustive_weighted_tail(s, math.nan)
-        with pytest.raises(DomainError):
-            exhaustive_weighted_tail(s, 0.0, side="both")
 
     def test_weighted_tail_shortcut(self):
         s = WeightedIndicatorSum([1.5, -0.5, 1.0], [0.2, 0.6, 0.4])
@@ -591,10 +607,15 @@ class TestMonteCarlo:
         assert est.n_samples == 200_000
 
     def test_side_selection(self):
-        s = WeightedIndicatorSum.iid(5, 0.1)
-        up = monte_carlo_tail(s, 0.8, 50_000, seed=3, side="upper")
-        mx = monte_carlo_tail(s, 0.8, 50_000, seed=3, side="max_both")
-        assert mx.point >= up.point
+        # five coins at p = 0.9: S = count - 4.5 never exceeds 0.5, so the
+        # estimate at 0.8 is that of the larger side, P(S < -0.8)
+        s = WeightedIndicatorSum.iid(5, 0.9)
+        vals = np.concatenate(list(reference_block_values(s, 50_000, 3)))
+        k = int(np.count_nonzero(vals < -0.8))
+        assert k > 0
+        assert monte_carlo_tail(s, 0.8, 50_000, seed=3) == McEstimate(
+            k / 50_000, *wilson_interval(k, 50_000), 50_000, 3
+        )
 
     def test_requires_independence(self):
         s = WeightedIndicatorSum([1.0, 1.0], [0.5, 0.5], independent=False)
@@ -627,17 +648,12 @@ class TestMonteCarlo:
             ]
             xs = [0.0, 1.0, *atoms, *rng.uniform(0.0, 3.0, size=2).tolist()]
             seed = int(rng.integers(0, 1000))
-            for side in ("upper", "lower", "max_both"):
-                curve = monte_carlo_tail(s, xs, n_samples, seed, side)
-                assert curve == tuple(
-                    monte_carlo_tail(s, x, n_samples, seed, side) for x in xs
-                )
-                assert curve == single_shot_estimates(s, xs, n_samples, seed, side)
+            curve = monte_carlo_tail(s, xs, n_samples, seed)
+            assert curve == tuple(monte_carlo_tail(s, x, n_samples, seed) for x in xs)
+            assert curve == single_shot_estimates(s, xs, n_samples, seed)
 
     def test_frozen_estimate_is_the_reference(self):
-        assert single_shot_estimates(
-            FROZEN_MC_SUM, [1.1], 150_000, 2024, "max_both"
-        ) == (FROZEN_MC,)
+        assert single_shot_estimates(FROZEN_MC_SUM, [1.1], 150_000, 2024) == (FROZEN_MC,)
 
     def test_reference_is_the_scalar_loop(self):
         # the stream's doubles one at a time, term-major, summed in term
@@ -674,10 +690,9 @@ class TestMonteCarlo:
             seed = int(rng.integers(0, 1000))
             vals = np.concatenate(list(reference_block_values(s, n_samples, seed)))
             xs = np.abs(rng.choice(vals, size=8)).tolist()
-            for side in ("upper", "lower", "max_both"):
-                assert monte_carlo_tail(s, xs, n_samples, seed, side) == (
-                    single_shot_estimates(s, xs, n_samples, seed, side)
-                )
+            assert monte_carlo_tail(s, xs, n_samples, seed) == (
+                single_shot_estimates(s, xs, n_samples, seed)
+            )
 
     def test_same_bits_under_either_blas_kernel(self):
         # OPENBLAS_CORETYPE picks the kernels of a DYNAMIC_ARCH OpenBLAS;
@@ -705,7 +720,7 @@ class TestMonteCarlo:
             assert r.returncode == 0, r.stderr
             outputs.append(r.stdout)
         assert outputs[0] == outputs[1]
-        assert outputs[0] == repr(single_shot_estimates(s, xs, 20_000, 3, "max_both")) + "\n"
+        assert outputs[0] == repr(single_shot_estimates(s, xs, 20_000, 3)) + "\n"
 
     def test_nan_anywhere_in_curve_raises(self):
         s = WeightedIndicatorSum.iid(3, 0.4)
@@ -858,24 +873,10 @@ class TestTailLayerErrors:
         with pytest.raises(DomainError, match="^thresholds must not be NaN$"):
             tail_curve(t, [0.0, math.nan])
 
-    def test_curve_rejects_unknown_side(self):
-        t = poisson_binomial_table([0.5] * 4)
-        with pytest.raises(DomainError, match="^unknown side 'both'$"):
-            tail_curve(t, [0.0, 1.0], side="both")
-
     def test_mc_rejects_2d_thresholds(self):
         s = WeightedIndicatorSum.iid(3, 0.4)
         with pytest.raises(DomainError, match="^thresholds must be a float or a 1-d sequence$"):
             monte_carlo_tail(s, [[0.0, 1.0]], 1000, seed=0)
-
-    def test_mc_rejects_unknown_side_before_drawing(self, monkeypatch):
-        def no_draw(fn, items):
-            raise AssertionError("drew before checking the side")
-
-        monkeypatch.setattr(oracles_module, "ordered_map", no_draw)
-        s = WeightedIndicatorSum.iid(3, 0.4)
-        with pytest.raises(DomainError, match="^unknown side 'both'$"):
-            monte_carlo_tail(s, 0.5, 1000, seed=0, side="both")
 
     @pytest.mark.parametrize("support, masses", [
         ([-0.5, 0.5], [1.0]),

@@ -141,10 +141,9 @@ def test_dp_matches_enumeration(ps):
 @settings(deadline=None)
 def test_tail_curve_matches_exact_tail(s, x):
     table = exhaustive_outcome_table(s)
-    for side in ("upper", "lower", "max_both"):
-        a = exact_tail(table, x, side=side)
-        b = float(tail_curve(table, np.array([x]), side=side)[0])
-        assert abs(a - b) < 5e-15
+    a = exact_tail(table, x)
+    b = float(tail_curve(table, np.array([x]))[0])
+    assert abs(a - b) < 5e-15
 
 
 @given(small_sums(max_terms=6), st.floats(0.0, 5.0))
@@ -154,7 +153,7 @@ def test_exact_tail_dominated_by_bound(s, x):
     table = exhaustive_outcome_table(s)
     b = norm_bound_independent(s).value
     bound = 1.0 if x == 0.0 else math.exp(-(x * x) / (4.0 * b * b))
-    assert exact_tail(table, x, side="max_both") <= bound + 1e-12
+    assert exact_tail(table, x) <= bound + 1e-12
 
 
 @given(st.integers(0, 50), st.integers(1, 50))

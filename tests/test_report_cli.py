@@ -34,6 +34,7 @@ from subgauss import (
     domination_sweep,
     exact_law,
     monte_carlo_tail,
+    poisson_binomial_table,
     report_from_json,
     report_to_csv,
     report_to_json,
@@ -656,6 +657,23 @@ class TestCliExample32:
     def test_rejects_bad_n(self):
         r = run_cli("example32", "--n", "0")
         assert r.returncode == 2
+
+    def test_rows_are_upper_tails_of_a_symmetric_law(self, capsys):
+        # example32 prints the two-sided exact_tail as P(T > x); that holds
+        # because fair-coin tables are mirror-symmetric, bit for bit
+        for n in [*range(1, 301), 1023, 4096, 16_384]:
+            t = poisson_binomial_table([0.5] * n)
+            assert t.masses.tobytes() == t.masses[::-1].tobytes(), n
+            assert np.array_equal(t.support, -t.support[::-1]), n
+        # the grid puts x sqrt(n) / 2 on atoms for n = 1, 4, 4096 and 16384
+        for n in (1, 4, 7, 300, 1023, 4096, 16_384):
+            args = ["example32", "--n", str(n), "--x-grid", "0.25:3:12", "--format", "json"]
+            assert cli_main(args) == 0
+            t = poisson_binomial_table([0.5] * n)
+            for row in json.loads(capsys.readouterr().out):
+                x = row["x"] * math.sqrt(n) / 2.0
+                upper = math.fsum(t.masses[t.support > x].tolist())
+                assert row["scaled_tail"] == upper, (n, row["x"])
 
 
 class TestCliMisc:

@@ -141,7 +141,7 @@ def serial_domination(n_random, seed, grid_points,
         nonlocal worst_margin, witness, violations, checked
         b = norm_bound_independent(s).value
         xs = np.linspace(0.0, s.abs_range, grid_points)
-        exact = tail_curve(table, xs, side="max_both")
+        exact = tail_curve(table, xs)
         with np.errstate(divide="ignore"):
             bound = np.where(xs == 0.0, 1.0, np.exp(-(xs * xs) / (4.0 * b * b)))
         margins = exact - bound
